@@ -29,7 +29,7 @@ use petalinux_sim::{BoardConfig, Kernel, Pid, UserId};
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::runner::heap_image;
 use vitis_ai_sim::{CompletedRun, DpuRunner, Image, LaunchedRun, ModelKind, RunnerError};
-use xsdb::DebugSession;
+use xsdb::{AuditLog, DebugSession};
 use zynq_dram::{FrameNumber, PhysAddr, ScrubReport, PAGE_SIZE};
 
 use crate::attack::{AttackConfig, AttackPipeline, Observation, ScrapeMode};
@@ -251,7 +251,7 @@ pub struct ScenarioOutcome {
     ground_truth: CompletedRun,
     scrub_report: Option<ScrubReport>,
     residue_frames_after: usize,
-    denied_operations: usize,
+    audit: AuditLog,
     collateral_bytes: u64,
     active_tenant_intact: Option<bool>,
     residue_lifetime: ResidueLifetime,
@@ -281,7 +281,12 @@ impl ScenarioOutcome {
     /// Number of debugger operations the isolation policy denied during the
     /// attack.
     pub fn denied_operations(&self) -> usize {
-        self.denied_operations
+        self.audit.denied_count()
+    }
+
+    /// The attacker's debugger audit trail, oldest operation first.
+    pub fn audit(&self) -> &AuditLog {
+        &self.audit
     }
 
     /// Bytes of other live owners' data destroyed by sanitizer runs, summed
@@ -336,7 +341,7 @@ impl ScenarioOutcome {
             bytes_scraped: self.bytes_scraped(),
             dump_coverage: self.attack.dump_coverage,
             residue_frames: self.residue_frames_after,
-            denied_operations: self.denied_operations,
+            denied_operations: self.denied_operations(),
             scrub_cost_cycles: self.scrub_report.as_ref().map_or(0.0, |r| r.cost_cycles),
             collateral_bytes: self.collateral_bytes,
             active_tenant_intact: self.active_tenant_intact,
@@ -1189,7 +1194,7 @@ impl<'a> BootedScenario<'a> {
             ground_truth,
             scrub_report,
             residue_frames_after: self.kernel.residue_frame_count(),
-            denied_operations: debugger.audit().denied_count(),
+            audit: debugger.audit().clone(),
             collateral_bytes,
             active_tenant_intact,
             residue_lifetime: lifetime,
