@@ -6,9 +6,9 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use msa_bench::{attacker_debugger, bench_board, launch_victim};
-use msa_core::analysis::image::reconstruct_image;
-use msa_core::analysis::marker::{marker_runs, CORRUPTED_MARKER};
-use msa_core::analysis::strings::identify_model;
+use msa_core::analysis::image::reconstruct_image_view;
+use msa_core::analysis::marker::{marker_runs_view, CORRUPTED_MARKER};
+use msa_core::analysis::strings::identify_model_view;
 use msa_core::attack::ScrapeMode;
 use msa_core::dump::MemoryDump;
 use msa_core::profile::Profiler;
@@ -45,11 +45,11 @@ fn bench_analysis(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(dump.len() as u64));
 
     group.bench_function("identify_model_from_strings", |b| {
-        b.iter(|| black_box(identify_model(&dump, &db)))
+        b.iter(|| black_box(identify_model_view(&dump.as_view(), &db)))
     });
 
     group.bench_function("marker_run_scan", |b| {
-        b.iter(|| black_box(marker_runs(&dump, CORRUPTED_MARKER, 256).len()))
+        b.iter(|| black_box(marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 256).len()))
     });
 
     group.bench_function("hexdump_render", |b| {
@@ -63,8 +63,8 @@ fn bench_analysis(c: &mut Criterion) {
 
     group.bench_function("image_reconstruction_at_profiled_offset", |b| {
         b.iter(|| {
-            black_box(reconstruct_image(
-                &dump,
+            black_box(reconstruct_image_view(
+                &dump.as_view(),
                 ModelKind::Resnet50Pt,
                 profile.image_offset,
             ))

@@ -68,7 +68,7 @@ fn bench_pipeline_phases(c: &mut Criterion) {
         setup.kernel.terminate(pid).expect("victim terminates");
         b.iter(|| {
             let outcome = pipeline
-                .execute(&mut debugger, &setup.kernel, &observation)
+                .execute(&mut debugger, &mut setup.kernel, &observation)
                 .expect("attack completes");
             black_box(outcome.bytes_scraped)
         })

@@ -337,7 +337,7 @@ fn attack_walkthrough(options: &Options) -> Result<(), Box<dyn std::error::Error
         println!();
     }
 
-    let outcome = pipeline.execute(&mut debugger, &kernel, &observation)?;
+    let outcome = pipeline.execute(&mut debugger, &mut kernel, &observation)?;
     let dump = pipeline.scrape_after_termination(&mut debugger, &kernel, &observation)?;
 
     if want("--fig11") {

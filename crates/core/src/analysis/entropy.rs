@@ -16,8 +16,6 @@
 use serde::{Deserialize, Serialize};
 use zynq_dram::ScrapeView;
 
-use crate::dump::MemoryDump;
-
 /// Default classification window size in bytes.
 pub const DEFAULT_WINDOW: usize = 1024;
 
@@ -113,20 +111,10 @@ fn classify_window(bytes: &[u8]) -> (f64, f64, RegionClass) {
     (entropy, printable, class)
 }
 
-/// Classifies the dump in windows of `window` bytes (the last window may be
-/// shorter).
-///
-/// # Panics
-///
-/// Panics if `window` is zero.
-pub fn classify_regions(dump: &MemoryDump, window: usize) -> Vec<Region> {
-    classify_regions_view(&dump.as_view(), window)
-}
-
-/// [`classify_regions`] over a borrowed [`ScrapeView`]: windows that lie
-/// inside one view segment are classified in place; only windows straddling
-/// a segment boundary go through a small reused scratch buffer (the dump
-/// form delegates here).
+/// Classifies scraped bytes in windows of `window` bytes (the last window
+/// may be shorter).  Windows that lie inside one view segment are classified
+/// in place; only windows straddling a segment boundary go through a small
+/// reused scratch buffer.
 ///
 /// # Panics
 ///
@@ -190,13 +178,8 @@ impl RegionSummary {
     }
 }
 
-/// Classifies the dump with the default window and aggregates per-class byte
-/// counts.
-pub fn summarize(dump: &MemoryDump) -> RegionSummary {
-    summarize_view(&dump.as_view())
-}
-
-/// [`summarize`] over a borrowed [`ScrapeView`].
+/// Classifies scraped bytes with the default window and aggregates
+/// per-class byte counts.
 pub fn summarize_view(view: &ScrapeView<'_>) -> RegionSummary {
     let mut summary = RegionSummary::default();
     for region in classify_regions_view(view, DEFAULT_WINDOW) {
@@ -215,6 +198,7 @@ pub fn summarize_view(view: &ScrapeView<'_>) -> RegionSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dump::MemoryDump;
     use proptest::prelude::*;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
@@ -249,7 +233,7 @@ mod tests {
         let weights = vitis_ai_sim::weights::quantized_weights(vitis_ai_sim::ModelKind::Vgg16);
         bytes.extend_from_slice(&weights[..1024]);
 
-        let regions = classify_regions(&dump_of(bytes), 1024);
+        let regions = classify_regions_view(&dump_of(bytes).as_view(), 1024);
         assert_eq!(regions.len(), 4);
         assert_eq!(regions[0].class, RegionClass::Zero);
         assert_eq!(regions[1].class, RegionClass::Filler { value: 0xFF });
@@ -264,7 +248,7 @@ mod tests {
     fn summary_aggregates_bytes_per_class() {
         let mut bytes = vec![0u8; 2048];
         bytes.extend_from_slice(&[0x55; 1024]);
-        let summary = summarize(&dump_of(bytes));
+        let summary = summarize_view(&dump_of(bytes).as_view());
         assert_eq!(summary.zero, 2048);
         assert_eq!(summary.filler, 1024);
         assert_eq!(summary.total(), 3072);
@@ -293,7 +277,7 @@ mod tests {
         let dump =
             scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
 
-        let summary = summarize(&dump);
+        let summary = summarize_view(&dump.as_view());
         // The corrupted image dominates as filler; the weight blob shows up as
         // high entropy; residue is clearly non-zero.
         assert!(summary.filler as usize >= 100 * 1024);
@@ -302,7 +286,7 @@ mod tests {
 
         // A sanitized dump, by contrast, is all zero.
         let scrubbed = dump_of(vec![0u8; 16 * 1024]);
-        let clean = summarize(&scrubbed);
+        let clean = summarize_view(&scrubbed.as_view());
         assert_eq!(clean.non_zero_fraction(), 0.0);
         assert_eq!(clean.zero, 16 * 1024);
     }
@@ -310,7 +294,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_window_is_rejected() {
-        let _ = classify_regions(&dump_of(vec![1, 2, 3]), 0);
+        let _ = classify_regions_view(&dump_of(vec![1, 2, 3]).as_view(), 0);
     }
 
     proptest! {
@@ -323,7 +307,7 @@ mod tests {
         #[test]
         fn prop_regions_cover_the_whole_dump(bytes in proptest::collection::vec(any::<u8>(), 1..4096), window in 1usize..512) {
             let dump = dump_of(bytes.clone());
-            let regions = classify_regions(&dump, window);
+            let regions = classify_regions_view(&dump.as_view(), window);
             let covered: usize = regions.iter().map(|r| r.len).sum();
             prop_assert_eq!(covered, bytes.len());
             // Offsets are strictly increasing and window-aligned.

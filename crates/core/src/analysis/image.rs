@@ -3,23 +3,13 @@
 use vitis_ai_sim::{Image, ModelKind};
 use zynq_dram::ScrapeView;
 
-use crate::dump::MemoryDump;
-
-/// Reconstructs the input image of `model` from the dump, given the
-/// heap-relative byte offset the image starts at.
+/// Reconstructs the input image of `model` from scraped bytes, given the
+/// heap-relative byte offset the image starts at.  The image bytes are
+/// copied out (an [`Image`] owns its pixels); everything around them stays
+/// zero-copy.
 ///
-/// Returns `None` when the dump does not extend far enough (e.g. the memory
+/// Returns `None` when the bytes do not extend far enough (e.g. the memory
 /// was sanitized and the dump is empty or truncated).
-pub fn reconstruct_image(dump: &MemoryDump, model: ModelKind, offset: u64) -> Option<Image> {
-    let (w, h) = model.input_dims();
-    let len = (w * h * 3) as usize;
-    let bytes = dump.slice(offset, len)?;
-    Image::reconstruct(w, h, bytes)
-}
-
-/// [`reconstruct_image`] over a borrowed [`ScrapeView`].  The image bytes
-/// themselves are copied out (an [`Image`] owns its pixels); everything
-/// around them stays zero-copy.
 pub fn reconstruct_image_view(
     view: &ScrapeView<'_>,
     model: ModelKind,
@@ -45,6 +35,7 @@ pub fn recovery_rate(reconstructed: Option<&Image>, ground_truth: &Image) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dump::MemoryDump;
     use vitis_ai_sim::runner::heap_image;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
@@ -65,7 +56,8 @@ mod tests {
     fn reconstruction_at_correct_offset_is_exact() {
         let input = Image::sample_photo(224, 224);
         let (dump, offset) = dump_for(ModelKind::Resnet50Pt, &input);
-        let rebuilt = reconstruct_image(&dump, ModelKind::Resnet50Pt, offset).unwrap();
+        let rebuilt =
+            reconstruct_image_view(&dump.as_view(), ModelKind::Resnet50Pt, offset).unwrap();
         assert_eq!(rebuilt, input);
         assert_eq!(recovery_rate(Some(&rebuilt), &input), 1.0);
     }
@@ -74,7 +66,8 @@ mod tests {
     fn reconstruction_at_wrong_offset_scores_poorly() {
         let input = Image::sample_photo(224, 224);
         let (dump, offset) = dump_for(ModelKind::Resnet50Pt, &input);
-        let wrong = reconstruct_image(&dump, ModelKind::Resnet50Pt, offset + 1024).unwrap();
+        let wrong =
+            reconstruct_image_view(&dump.as_view(), ModelKind::Resnet50Pt, offset + 1024).unwrap();
         assert!(wrong.pixel_recovery_rate(&input) < 0.5);
     }
 
@@ -83,17 +76,23 @@ mod tests {
         let input = Image::corrupted(224, 224);
         let (dump, offset) = dump_for(ModelKind::Resnet50Pt, &input);
         // An offset near the end cannot fit a whole image.
-        assert!(reconstruct_image(&dump, ModelKind::Resnet50Pt, dump.len() as u64 - 16).is_none());
+        assert!(reconstruct_image_view(
+            &dump.as_view(),
+            ModelKind::Resnet50Pt,
+            dump.len() as u64 - 16
+        )
+        .is_none());
         assert_eq!(recovery_rate(None, &input), 0.0);
         // Sanity: the correct offset still works.
-        assert!(reconstruct_image(&dump, ModelKind::Resnet50Pt, offset).is_some());
+        assert!(reconstruct_image_view(&dump.as_view(), ModelKind::Resnet50Pt, offset).is_some());
     }
 
     #[test]
     fn corrupted_image_reconstructs_to_all_ff() {
         let input = Image::corrupted(224, 224);
         let (dump, offset) = dump_for(ModelKind::Resnet50Pt, &input);
-        let rebuilt = reconstruct_image(&dump, ModelKind::Resnet50Pt, offset).unwrap();
+        let rebuilt =
+            reconstruct_image_view(&dump.as_view(), ModelKind::Resnet50Pt, offset).unwrap();
         assert!(rebuilt.as_bytes().iter().all(|&b| b == 0xFF));
         assert_eq!(recovery_rate(Some(&rebuilt), &input), 1.0);
     }

@@ -38,13 +38,6 @@ impl MarkerRun {
 
 /// Finds maximal runs of `marker` (repeated little-endian 32-bit words) that
 /// are at least `min_len` bytes long.
-pub fn marker_runs(dump: &MemoryDump, marker: u32, min_len: u64) -> Vec<MarkerRun> {
-    marker_runs_view(&dump.as_view(), marker, min_len)
-}
-
-/// [`marker_runs`] over a borrowed [`ScrapeView`] — the zero-copy scan the
-/// view-based pipeline uses (the dump form delegates here, so both paths run
-/// the identical algorithm).
 pub fn marker_runs_view(view: &ScrapeView<'_>, marker: u32, min_len: u64) -> Vec<MarkerRun> {
     let pattern = marker.to_le_bytes();
     let uniform = pattern.iter().all(|&b| b == pattern[0]);
@@ -118,13 +111,18 @@ fn uniform_byte_runs(view: &ScrapeView<'_>, value: u8, min_len: u64) -> Vec<Mark
 ///
 /// The paper uses the first occurrence as the image's starting offset.
 pub fn first_marker_offset(dump: &MemoryDump, marker: u32, min_len: u64) -> Option<u64> {
-    marker_runs(dump, marker, min_len).first().map(|r| r.offset)
+    marker_runs_view(&dump.as_view(), marker, min_len)
+        .first()
+        .map(|r| r.offset)
 }
 
 /// Total number of marker bytes in the dump (a coarse "how much of the image
 /// survived" measure used by the defense experiments).
 pub fn marker_bytes(dump: &MemoryDump, marker: u32) -> u64 {
-    marker_runs(dump, marker, 4).iter().map(|r| r.len).sum()
+    marker_runs_view(&dump.as_view(), marker, 4)
+        .iter()
+        .map(|r| r.len)
+        .sum()
 }
 
 #[cfg(test)]
@@ -143,7 +141,7 @@ mod tests {
         bytes.extend_from_slice(&[0xFF; 64]);
         bytes.extend_from_slice(&[0u8; 36]);
         let dump = dump_of(bytes);
-        let runs = marker_runs(&dump, CORRUPTED_MARKER, 16);
+        let runs = marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 16);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].offset, 100);
         assert_eq!(runs[0].len, 64);
@@ -159,10 +157,10 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 16]);
         bytes.extend_from_slice(&[0x55; 32]); // long run
         let dump = dump_of(bytes);
-        let long_only = marker_runs(&dump, SENTINEL_MARKER, 16);
+        let long_only = marker_runs_view(&dump.as_view(), SENTINEL_MARKER, 16);
         assert_eq!(long_only.len(), 1);
         assert_eq!(long_only[0].offset, 40);
-        let all = marker_runs(&dump, SENTINEL_MARKER, 4);
+        let all = marker_runs_view(&dump.as_view(), SENTINEL_MARKER, 4);
         assert_eq!(all.len(), 2);
         assert_eq!(marker_bytes(&dump, SENTINEL_MARKER), 40);
     }
@@ -173,7 +171,7 @@ mod tests {
         bytes.extend_from_slice(&[0xFF; 20]);
         bytes.push(0);
         let dump = dump_of(bytes);
-        let runs = marker_runs(&dump, CORRUPTED_MARKER, 8);
+        let runs = marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 8);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].offset, 3);
         assert_eq!(runs[0].len, 20);
@@ -182,11 +180,11 @@ mod tests {
     #[test]
     fn no_marker_means_no_runs() {
         let dump = dump_of(vec![0u8; 256]);
-        assert!(marker_runs(&dump, CORRUPTED_MARKER, 4).is_empty());
+        assert!(marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 4).is_empty());
         assert!(first_marker_offset(&dump, CORRUPTED_MARKER, 4).is_none());
         assert_eq!(marker_bytes(&dump, CORRUPTED_MARKER), 0);
         // Empty dump.
-        assert!(marker_runs(&dump_of(Vec::new()), CORRUPTED_MARKER, 4).is_empty());
+        assert!(marker_runs_view(&dump_of(Vec::new()).as_view(), CORRUPTED_MARKER, 4).is_empty());
     }
 
     #[test]
@@ -215,7 +213,7 @@ mod tests {
         for (marker, min_len) in [(CORRUPTED_MARKER, 16), (SENTINEL_MARKER, 4)] {
             assert_eq!(
                 marker_runs_view(&view, marker, min_len),
-                marker_runs(&dump, marker, min_len),
+                marker_runs_view(&dump.as_view(), marker, min_len),
                 "marker {marker:08x}"
             );
         }
@@ -231,13 +229,13 @@ mod tests {
         bytes.push(0xFF);
         bytes.extend_from_slice(&[0u8; 7]);
         let dump = dump_of(bytes);
-        let runs = marker_runs(&dump, CORRUPTED_MARKER, 2);
+        let runs = marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 2);
         assert_eq!(
             runs,
             vec![MarkerRun { offset: 8, len: 3 }],
             "the 3-byte run clears min_len=2, the single byte does not"
         );
-        let ones = marker_runs(&dump, CORRUPTED_MARKER, 1);
+        let ones = marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 1);
         assert_eq!(
             ones,
             vec![
@@ -246,7 +244,7 @@ mod tests {
             ]
         );
         // min_len >= 4 still sees nothing here.
-        assert!(marker_runs(&dump, CORRUPTED_MARKER, 4).is_empty());
+        assert!(marker_runs_view(&dump.as_view(), CORRUPTED_MARKER, 4).is_empty());
     }
 
     #[test]
@@ -255,7 +253,7 @@ mod tests {
         bytes.extend_from_slice(&[0x55; 2]);
         let dump = dump_of(bytes);
         assert_eq!(
-            marker_runs(&dump, SENTINEL_MARKER, 2),
+            marker_runs_view(&dump.as_view(), SENTINEL_MARKER, 2),
             vec![MarkerRun { offset: 6, len: 2 }]
         );
     }
@@ -268,7 +266,7 @@ mod tests {
         let mut bytes = marker.to_le_bytes().repeat(3);
         bytes.push(0x04);
         let dump = dump_of(bytes);
-        let runs = marker_runs(&dump, marker, 4);
+        let runs = marker_runs_view(&dump.as_view(), marker, 4);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].len, 12);
     }

@@ -9,16 +9,10 @@ use zynq_dram::ScrapeView;
 use crate::dump::MemoryDump;
 use crate::signature::{ModelMatch, SignatureDb};
 
-/// Identifies the model most likely to have produced the dump.
+/// Identifies the model most likely to have produced the scraped bytes.
 ///
 /// Returns `None` when no signature pattern appears at all (e.g. when the
 /// memory was sanitized).
-pub fn identify_model(dump: &MemoryDump, db: &SignatureDb) -> Option<ModelMatch> {
-    db.best_match(dump)
-}
-
-/// [`identify_model`] over a borrowed [`ScrapeView`] — the zero-copy
-/// identification step of the view-based pipeline.
 pub fn identify_model_view(view: &ScrapeView<'_>, db: &SignatureDb) -> Option<ModelMatch> {
     db.best_match_view(view)
 }
@@ -71,7 +65,8 @@ mod tests {
             ModelKind::YoloV3,
         ] {
             let dump = scraped_dump(model);
-            let matched = identify_model(&dump, &db).expect("model should be identified");
+            let matched =
+                identify_model_view(&dump.as_view(), &db).expect("model should be identified");
             assert_eq!(matched.model, model, "misidentified {model}");
             assert!(matched.confidence() >= 0.5);
             let lines = evidence_lines(&dump, &matched);
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn sanitized_dump_yields_no_identification() {
         let dump = MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), vec![0u8; 8192]);
-        assert!(identify_model(&dump, &SignatureDb::standard()).is_none());
+        assert!(identify_model_view(&dump.as_view(), &SignatureDb::standard()).is_none());
         assert!(path_like_strings(&dump).is_empty());
     }
 

@@ -34,18 +34,12 @@ pub struct WeightMatch {
     pub blob_match_fraction: f64,
 }
 
-/// Searches the dump for every zoo model's weight fingerprint.
+/// Searches scraped bytes for every zoo model's weight fingerprint.
 ///
 /// Matches are ordered by decreasing match fraction.  A model is reported
 /// only if its probe (the first [`PROBE_LEN`] bytes of its public weights)
-/// occurs in the dump.
-pub fn match_weights(dump: &MemoryDump) -> Vec<WeightMatch> {
-    match_weights_view(&dump.as_view())
-}
-
-/// [`match_weights`] over a borrowed [`ScrapeView`]: the probes are located
-/// with the view's segment-wise search and the match fraction counted in
-/// place, no owned copy of the dump required (the dump form delegates here).
+/// occurs in the bytes.  The probes are located with the view's
+/// segment-wise search and the match fraction counted in place.
 pub fn match_weights_view(view: &ScrapeView<'_>) -> Vec<WeightMatch> {
     let mut matches = Vec::new();
     for model in ModelKind::all() {
@@ -77,7 +71,7 @@ pub fn match_weights_view(view: &ScrapeView<'_>) -> Vec<WeightMatch> {
 
 /// The single best weight-fingerprint match, if any.
 pub fn identify_model_by_weights(dump: &MemoryDump) -> Option<WeightMatch> {
-    match_weights(dump).into_iter().next()
+    match_weights_view(&dump.as_view()).into_iter().next()
 }
 
 /// Extracts the victim's weight blob from the dump given a weight match,
@@ -149,8 +143,8 @@ mod tests {
         let redacted =
             MemoryDump::from_contiguous(dump.heap_start(), PhysAddr::new(0x6_0000_0000), bytes);
         // String identification now fails…
-        assert!(crate::analysis::strings::identify_model(
-            &redacted,
+        assert!(crate::analysis::strings::identify_model_view(
+            &redacted.as_view(),
             &crate::signature::SignatureDb::standard()
         )
         .is_none());
@@ -163,7 +157,7 @@ mod tests {
     fn sanitized_dump_has_no_weight_matches() {
         let empty =
             MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), vec![0u8; 64 * 1024]);
-        assert!(match_weights(&empty).is_empty());
+        assert!(match_weights_view(&empty.as_view()).is_empty());
         assert!(identify_model_by_weights(&empty).is_none());
     }
 
@@ -222,7 +216,7 @@ mod tests {
         let mut bytes = full.clone();
         bytes.extend_from_slice(probe_only);
         let dump = MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), bytes);
-        let matches = match_weights(&dump);
+        let matches = match_weights_view(&dump.as_view());
         assert!(matches.len() >= 2);
         assert_eq!(matches[0].model, ModelKind::SqueezeNet);
         assert!(matches[0].blob_match_fraction > matches[1].blob_match_fraction);

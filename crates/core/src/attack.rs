@@ -2,7 +2,7 @@
 
 use std::time::{Duration, Instant};
 
-use petalinux_sim::{Kernel, Pid};
+use petalinux_sim::{Kernel, PhysBytes, Pid};
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use xsdb::DebugSession;
@@ -13,11 +13,11 @@ use crate::analysis::image::reconstruct_image_view;
 use crate::analysis::marker::{marker_runs_view, CORRUPTED_MARKER};
 use crate::analysis::reconstruct::{entropy_image_offset, fuzzy_identify_view, repair_image};
 use crate::analysis::strings::identify_model_view;
-use crate::dump::{HeapView, MemoryDump};
+use crate::dump::MemoryDump;
 use crate::error::AttackError;
 use crate::metrics::{AttackOutcome, OffsetSource, StepTimingsBuilder};
 use crate::profile::ProfileDatabase;
-use crate::scrape::{scrape_heap, scrape_heap_snapshots, scrape_heap_view};
+use crate::scrape::{scrape_heap, PageHook, ScrapePlan};
 use crate::signature::SignatureDb;
 use crate::translate::{capture_heap_translation, HeapTranslation};
 
@@ -58,10 +58,10 @@ pub enum ScrapeMode {
     /// Because the shipped decay models only ever clear bits, the fused dump
     /// is a bitwise superset of every individual snapshot and a subset of
     /// the raw residue — the accumulation-across-reads attacker Pentimento
-    /// describes.  Requires a mutable kernel to tick the clock between
-    /// snapshots ([`AttackPipeline::execute_mut`]); on the immutable
-    /// entry points it soundly degenerates to a single contiguous read (the
-    /// fusion of snapshots under monotone decay equals the earliest one).
+    /// describes.  [`AttackPipeline::execute`] ticks the kernel's decay clock
+    /// between snapshots; [`crate::scrape::scrape_heap`], which only borrows
+    /// the kernel, soundly degenerates to a single contiguous read (the
+    /// fusion of same-tick snapshots under monotone decay is the first one).
     MultiSnapshot {
         /// Number of snapshots fused (must be non-zero; 1 degenerates to
         /// the plain contiguous read).
@@ -161,22 +161,6 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Wraps an already-captured translation with a fresh (empty) timing
-    /// record.
-    ///
-    /// The live path builds observations through
-    /// [`AttackPipeline::observe_victim`]; this constructor exists for replay
-    /// tooling and edge-case tests that assemble a [`HeapTranslation`]
-    /// directly (e.g. via [`HeapTranslation::from_parts`]) — degenerate
-    /// windows like a zero-length heap cannot be produced through the
-    /// debugger capture, which requires a live `[heap]` mapping.
-    pub fn from_translation(translation: HeapTranslation) -> Self {
-        Observation {
-            translation,
-            timings: StepTimingsBuilder::new(),
-        }
-    }
-
     /// The victim's pid.
     pub fn pid(&self) -> Pid {
         self.translation.pid()
@@ -235,7 +219,7 @@ pub struct Analysis {
 /// let pid = pipeline.poll_for_victim(&mut debugger, &kernel)?;
 /// let observation = pipeline.observe_victim(&mut debugger, &kernel, pid)?;
 /// victim.terminate(&mut kernel)?;
-/// let outcome = pipeline.execute(&mut debugger, &kernel, &observation)?;
+/// let outcome = pipeline.execute(&mut debugger, &mut kernel, &observation)?;
 /// assert_eq!(outcome.identified_model(), Some(ModelKind::Resnet50Pt));
 /// # Ok(())
 /// # }
@@ -410,17 +394,10 @@ impl AttackPipeline {
         filled
     }
 
-    /// Step 4: analyse a dump — identify the model, find image markers,
-    /// reconstruct the image.
-    pub fn analyze(&self, dump: &MemoryDump) -> Analysis {
-        self.analyze_view(&dump.as_view())
-    }
-
-    /// Step 4 over a borrowed [`ScrapeView`] — the same analysis, run
-    /// directly against the bank arenas with no owned dump in between
-    /// ([`AttackPipeline::analyze`] delegates here, so both paths share one
-    /// algorithm).
-    pub fn analyze_view(&self, view: &ScrapeView<'_>) -> Analysis {
+    /// Step 4: analyse scraped bytes — identify the model, find image
+    /// markers, reconstruct the image.  Owned dumps pass
+    /// [`MemoryDump::as_view`], borrowed heaps [`crate::dump::HeapView::view`].
+    pub fn analyze(&self, view: &ScrapeView<'_>) -> Analysis {
         let usable = |m: &crate::signature::ModelMatch| {
             m.confidence() >= self.config.min_identification_confidence
         };
@@ -476,20 +453,18 @@ impl AttackPipeline {
         }
     }
 
-    /// Step 4 plus outcome assembly: analyses `dump` (timing the analysis)
-    /// and folds it with the observation's partial timings and the caller's
-    /// scrape duration into a full [`AttackOutcome`].
-    ///
-    /// Used by [`AttackPipeline::execute`] and by schedule-driven scrapers
-    /// (live-traffic churn) that produce the dump themselves.
-    pub fn score_dump(
+    /// Step 4 plus outcome assembly: analyses `view` (timing the analysis)
+    /// and folds it with the observation's partial timings, the scrape's
+    /// page coverage and its duration into a full [`AttackOutcome`].
+    fn score(
         &self,
         observation: &Observation,
-        dump: &MemoryDump,
+        view: &ScrapeView<'_>,
+        coverage: f64,
         scrape_elapsed: Duration,
     ) -> AttackOutcome {
         let analyze_start = Instant::now();
-        let analysis = self.analyze(dump);
+        let analysis = self.analyze(view);
         let analyze_elapsed = analyze_start.elapsed();
 
         AttackOutcome {
@@ -498,8 +473,8 @@ impl AttackPipeline {
             marker_runs: analysis.marker_runs,
             reconstructed_image: analysis.reconstructed_image,
             image_offset_used: analysis.image_offset_used,
-            bytes_scraped: dump.len(),
-            dump_coverage: dump.coverage(),
+            bytes_scraped: view.len(),
+            dump_coverage: coverage,
             timings: observation
                 .timings
                 .with_scrape(scrape_elapsed)
@@ -508,137 +483,74 @@ impl AttackPipeline {
         }
     }
 
-    /// [`AttackPipeline::score_dump`] for the zero-copy path: analyses a
-    /// borrowed [`HeapView`] and folds it into the same [`AttackOutcome`].
-    pub fn score_view(
-        &self,
-        observation: &Observation,
-        heap: &HeapView<'_>,
-        scrape_elapsed: Duration,
-    ) -> AttackOutcome {
-        let analyze_start = Instant::now();
-        let analysis = self.analyze_view(heap.view());
-        let analyze_elapsed = analyze_start.elapsed();
-
-        AttackOutcome {
-            victim_pid: observation.pid(),
-            identified: analysis.identified,
-            marker_runs: analysis.marker_runs,
-            reconstructed_image: analysis.reconstructed_image,
-            image_offset_used: analysis.image_offset_used,
-            bytes_scraped: heap.len(),
-            dump_coverage: heap.coverage(),
-            timings: observation
-                .timings
-                .with_scrape(scrape_elapsed)
-                .with_analyze(analyze_elapsed)
-                .build(),
-        }
-    }
-
-    /// Steps 3–4: scrape the terminated victim and analyse the dump,
+    /// Steps 3–4: scrape the terminated victim and analyse what was read,
     /// producing the full [`AttackOutcome`] with timings.
     ///
-    /// When the board's remanence model permits borrowed reads (the default
-    /// perfect model), the scrape-and-analyse hot path runs zero-copy: the
-    /// heap is borrowed straight out of the DRAM bank arenas as a
-    /// [`HeapView`] and analysed in place.  Otherwise it falls back to the
-    /// owned [`MemoryDump`].  Outcome and audit trail are identical either
-    /// way.
+    /// - A single pass with no swap residue to add runs zero-copy when the
+    ///   board's remanence model lets the kernel lend the bytes (the default
+    ///   perfect model): the heap is analysed in place in the DRAM bank
+    ///   arenas.
+    /// - [`ScrapeMode::MultiSnapshot`] reads the heap once per snapshot,
+    ///   ticking the kernel's decay clock between reads, and OR-fuses the
+    ///   reads.
+    /// - When the victim left residue slots in the compressed swap store,
+    ///   the scrape is owned and the decompressed slots fill the bytes the
+    ///   DRAM scrape missed ([`AttackPipeline::read_swap_residue`]).
     ///
     /// # Errors
     ///
-    /// Propagates scraping errors.
+    /// Returns [`AttackError::VictimStillRunning`] if the pid is still in the
+    /// process list, and propagates scraping errors.
     pub fn execute(
-        &self,
-        debugger: &mut DebugSession,
-        kernel: &Kernel,
-        observation: &Observation,
-    ) -> Result<AttackOutcome, AttackError> {
-        if debugger.is_running(kernel, observation.pid()) {
-            return Err(AttackError::VictimStillRunning {
-                pid: observation.pid(),
-            });
-        }
-        let scrape_start = Instant::now();
-        if let Some(heap) = scrape_heap_view(
-            debugger,
-            kernel,
-            observation.translation(),
-            self.config.scrape_mode,
-        )? {
-            let scrape_elapsed = scrape_start.elapsed();
-            return Ok(self.score_view(observation, &heap, scrape_elapsed));
-        }
-        let dump = scrape_heap(
-            debugger,
-            kernel,
-            observation.translation(),
-            self.config.scrape_mode,
-        )?;
-        let scrape_elapsed = scrape_start.elapsed();
-        Ok(self.score_dump(observation, &dump, scrape_elapsed))
-    }
-
-    /// [`AttackPipeline::execute`] with a mutable kernel, which is what
-    /// [`ScrapeMode::MultiSnapshot`] needs: the decay clock is ticked once
-    /// between snapshots, so each read sees the residue one revival window
-    /// later, and the snapshots are OR-fused into the analysed dump.
-    ///
-    /// This entry point also drains the compressed-swap channel: when the
-    /// victim left residue slots in the swap store
-    /// ([`AttackPipeline::read_swap_residue`]), the scrape takes the
-    /// owned-dump path (the zero-copy view borrows the bank arenas and
-    /// cannot be overlaid) and the decompressed slots fill the bytes the
-    /// DRAM scrape missed before scoring.
-    ///
-    /// Every other scrape mode on a swap-free board behaves exactly as
-    /// [`AttackPipeline::execute`] (the kernel is simply not mutated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates scraping errors, and rejects a zero snapshot count.
-    pub fn execute_mut(
         &self,
         debugger: &mut DebugSession,
         kernel: &mut Kernel,
         observation: &Observation,
     ) -> Result<AttackOutcome, AttackError> {
-        let owner = observation.pid().owner_tag();
-        let has_swap_residue = kernel.dram().swap_store().residue_bytes(Some(owner)) > 0;
-        let ScrapeMode::MultiSnapshot { snapshots } = self.config.scrape_mode else {
-            if !has_swap_residue {
-                return self.execute(debugger, kernel, observation);
-            }
-            if debugger.is_running(kernel, observation.pid()) {
-                return Err(AttackError::VictimStillRunning {
-                    pid: observation.pid(),
-                });
-            }
-            let scrape_start = Instant::now();
-            let mut dump = scrape_heap(
-                debugger,
-                kernel,
-                observation.translation(),
-                self.config.scrape_mode,
-            )?;
-            self.read_swap_residue(kernel, observation, &mut dump);
-            let scrape_elapsed = scrape_start.elapsed();
-            return Ok(self.score_dump(observation, &dump, scrape_elapsed));
-        };
+        self.execute_with(debugger, kernel, observation, None)
+    }
+
+    /// [`AttackPipeline::execute`] with `between_pages` run before each heap
+    /// page of the first read, which then reads page by page: the
+    /// live-traffic schedule changes the board under the scrape there.
+    pub(crate) fn execute_with(
+        &self,
+        debugger: &mut DebugSession,
+        kernel: &mut Kernel,
+        observation: &Observation,
+        between_pages: Option<&mut PageHook<'_>>,
+    ) -> Result<AttackOutcome, AttackError> {
         if debugger.is_running(kernel, observation.pid()) {
             return Err(AttackError::VictimStillRunning {
                 pid: observation.pid(),
             });
         }
         let scrape_start = Instant::now();
-        let scrape = scrape_heap_snapshots(debugger, kernel, observation.translation(), snapshots)?;
-        let mut dump = scrape.dump;
-        if has_swap_residue {
-            self.read_swap_residue(kernel, observation, &mut dump);
-        }
-        let scrape_elapsed = scrape_start.elapsed();
-        Ok(self.score_dump(observation, &dump, scrape_elapsed))
+        let mode = self.config.scrape_mode;
+        let plan = ScrapePlan::new(kernel, observation.translation(), mode)?;
+        let snapshots = match mode {
+            ScrapeMode::MultiSnapshot { snapshots } => snapshots,
+            _ => 1,
+        };
+        let owner = observation.pid().owner_tag();
+        let swap_residue = kernel.dram().swap_store().residue_bytes(Some(owner)) > 0;
+        let mut dump = if snapshots == 1 && between_pages.is_none() && !swap_residue {
+            match plan.read(debugger, kernel)? {
+                PhysBytes::Borrowed(view) => {
+                    let heap = plan.heap_view(view);
+                    let elapsed = scrape_start.elapsed();
+                    return Ok(self.score(observation, heap.view(), heap.coverage(), elapsed));
+                }
+                PhysBytes::Owned(bytes) => plan.dump(bytes),
+            }
+        } else {
+            // Ticking the kernel between reads, and overlaying swap residue,
+            // both need the bytes owned.
+            plan.read_owned(debugger, kernel, snapshots, between_pages)?
+        };
+        self.read_swap_residue(kernel, observation, &mut dump);
+        let elapsed = scrape_start.elapsed();
+        Ok(self.score(observation, &dump.as_view(), dump.coverage(), elapsed))
     }
 }
 
@@ -676,7 +588,7 @@ mod tests {
 
         victim.terminate(&mut kernel).unwrap();
         let outcome = pipeline
-            .execute(&mut debugger, &kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap();
 
         assert_eq!(outcome.identified_model(), Some(ModelKind::Resnet50Pt));
@@ -707,7 +619,7 @@ mod tests {
         let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
         victim.terminate(&mut kernel).unwrap();
         let outcome = pipeline
-            .execute(&mut debugger, &kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap();
 
         assert_eq!(outcome.identified_model(), Some(ModelKind::Resnet50Pt));
@@ -723,7 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_execute_scores_identically_to_the_owned_pipeline() {
+    fn zero_copy_execute_analyses_the_bytes_of_the_owned_scrape() {
         let pipeline = pipeline_with_profiles();
         let mut kernel = Kernel::boot(board());
         let input = Image::corrupted(224, 224);
@@ -735,29 +647,22 @@ mod tests {
         let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
         victim.terminate(&mut kernel).unwrap();
 
-        // `execute` takes the zero-copy view path under perfect remanence;
-        // the owned scrape-and-score must agree on every non-timing field.
+        // `execute` analyses a borrowed view under perfect remanence; the
+        // owned step-3 scrape must yield the same analysis and coverage.
         let via_view = pipeline
-            .execute(&mut debugger, &kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap();
         let dump = pipeline
             .scrape_after_termination(&mut debugger, &kernel, &observation)
             .unwrap();
-        let via_dump = pipeline.score_dump(&observation, &dump, Duration::ZERO);
+        let via_dump = pipeline.analyze(&dump.as_view());
 
-        assert_eq!(via_view.victim_pid, via_dump.victim_pid);
         assert_eq!(via_view.identified, via_dump.identified);
         assert_eq!(via_view.marker_runs, via_dump.marker_runs);
         assert_eq!(via_view.reconstructed_image, via_dump.reconstructed_image);
         assert_eq!(via_view.image_offset_used, via_dump.image_offset_used);
-        assert_eq!(via_view.bytes_scraped, via_dump.bytes_scraped);
-        assert_eq!(via_view.dump_coverage, via_dump.dump_coverage);
-
-        // And the analysis cores agree directly, dump vs borrowed view.
-        assert_eq!(
-            pipeline.analyze(&dump),
-            pipeline.analyze_view(&dump.as_view())
-        );
+        assert_eq!(via_view.bytes_scraped, dump.len());
+        assert_eq!(via_view.dump_coverage, dump.coverage());
     }
 
     #[test]
@@ -823,7 +728,7 @@ mod tests {
         let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
         victim.terminate(&mut kernel).unwrap();
         let outcome = pipeline
-            .execute(&mut debugger, &kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap();
 
         assert!(outcome.identified_model().is_none());

@@ -176,7 +176,7 @@ impl ScrapingDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use petalinux_sim::{BoardConfig, Kernel};
+    use petalinux_sim::{BoardConfig, Kernel, PhysRead};
     use vitis_ai_sim::{DpuRunner, Image, ModelKind};
     use xsdb::DebugSession;
 
@@ -199,7 +199,7 @@ mod tests {
         let victim_pid = victim.pid();
         victim.terminate(&mut kernel).unwrap();
         pipeline
-            .execute(&mut debugger, &kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap();
 
         let finding = detector()
@@ -254,7 +254,9 @@ mod tests {
             .unwrap();
         let mut debugger = DebugSession::connect(UserId::new(1));
         let base = kernel.config().dram().base();
-        debugger.read_phys_range(&kernel, base, 128 * 1024).unwrap();
+        debugger
+            .read_phys(&kernel, PhysRead::new(base, 128 * 1024))
+            .unwrap();
         let finding = detector()
             .inspect(&kernel, debugger.user(), debugger.audit())
             .expect("bulk read noticed");

@@ -24,39 +24,17 @@ pub struct MemoryDump {
 }
 
 impl MemoryDump {
-    /// Assembles a dump from per-page captures.
-    ///
-    /// `pages` holds, for each heap page in order, the physical address the
-    /// page was read from and its bytes, or `None` when the page could not be
-    /// captured (it then reads as zeros).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a captured page is not exactly [`PAGE_SIZE`] bytes.
-    pub fn from_pages(heap_start: VirtAddr, pages: Vec<Option<(PhysAddr, Vec<u8>)>>) -> Self {
-        let mut bytes = Vec::with_capacity(pages.len() * PAGE_SIZE as usize);
-        let mut sources = Vec::with_capacity(pages.len());
-        for page in pages {
-            match page {
-                Some((pa, data)) => {
-                    assert_eq!(
-                        data.len(),
-                        PAGE_SIZE as usize,
-                        "captured page must be PAGE_SIZE bytes"
-                    );
-                    bytes.extend_from_slice(&data);
-                    sources.push(Some(pa));
-                }
-                None => {
-                    bytes.extend(std::iter::repeat_n(0u8, PAGE_SIZE as usize));
-                    sources.push(None);
-                }
-            }
-        }
+    /// Assembles a dump from scraped bytes and the physical source of each
+    /// heap page, `None` for a page the scrape could not capture.
+    pub(crate) fn from_sources(
+        heap_start: VirtAddr,
+        bytes: Vec<u8>,
+        page_sources: Vec<Option<PhysAddr>>,
+    ) -> Self {
         MemoryDump {
             heap_start,
             bytes,
-            page_sources: sources,
+            page_sources,
         }
     }
 
@@ -67,11 +45,7 @@ impl MemoryDump {
         let sources = (0..page_count)
             .map(|i| Some(phys_start + (i as u64) * PAGE_SIZE))
             .collect();
-        MemoryDump {
-            heap_start,
-            bytes,
-            page_sources: sources,
-        }
+        MemoryDump::from_sources(heap_start, bytes, sources)
     }
 
     /// An empty dump (used when scraping was denied or produced nothing).
@@ -201,10 +175,9 @@ impl MemoryDump {
 /// borrowed [`ScrapeView`] over the DRAM bank arenas, plus the same per-page
 /// coverage accounting the owned dump records.
 ///
-/// Produced by [`crate::scrape::scrape_heap_view`] when the board's remanence
-/// model permits borrowed reads; the analysis stages consume the view
-/// directly, so the scrape-and-analyse hot path never assembles an owned
-/// byte buffer.
+/// A scrape yields one when the kernel lends the bytes (perfect remanence);
+/// the analysis stages consume the view directly, so the scrape-and-analyse
+/// hot path never assembles an owned byte buffer.
 #[derive(Debug, Clone)]
 pub struct HeapView<'a> {
     heap_start: VirtAddr,
@@ -226,16 +199,6 @@ impl<'a> HeapView<'a> {
             view,
             pages_captured,
             pages_total,
-        }
-    }
-
-    /// An empty view (zero-length heap), mirroring [`MemoryDump::empty`].
-    pub fn empty(heap_start: VirtAddr) -> Self {
-        HeapView {
-            heap_start,
-            view: ScrapeView::from_slice(&[]),
-            pages_captured: 0,
-            pages_total: 0,
         }
     }
 
@@ -289,10 +252,6 @@ impl<'a> HeapView<'a> {
 mod tests {
     use super::*;
 
-    fn page_of(byte: u8) -> Vec<u8> {
-        vec![byte; PAGE_SIZE as usize]
-    }
-
     #[test]
     fn as_view_mirrors_the_owned_bytes() {
         let dump =
@@ -304,7 +263,7 @@ mod tests {
 
     #[test]
     fn heap_view_coverage_mirrors_memory_dump() {
-        let empty = HeapView::empty(VirtAddr::new(0x1000));
+        let empty = HeapView::new(VirtAddr::new(0x1000), ScrapeView::from_slice(&[]), 0, 0);
         assert!(empty.is_empty());
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.coverage(), 0.0);
@@ -319,34 +278,18 @@ mod tests {
     }
 
     #[test]
-    fn from_pages_assembles_in_order_with_gaps_as_zero() {
+    fn from_sources_counts_gap_pages_as_missing() {
         let pa = PhysAddr::new(0x6_0000_0000);
-        let dump = MemoryDump::from_pages(
+        let dump = MemoryDump::from_sources(
             VirtAddr::new(0xaaaa_ee77_5000),
-            vec![
-                Some((pa, page_of(0xAA))),
-                None,
-                Some((pa + 2 * PAGE_SIZE, page_of(0xBB))),
-            ],
+            vec![0xAA; 3 * PAGE_SIZE as usize],
+            vec![Some(pa), None, Some(pa + 2 * PAGE_SIZE)],
         );
-        assert_eq!(dump.len(), 3 * PAGE_SIZE as usize);
-        assert_eq!(dump.as_bytes()[0], 0xAA);
-        assert_eq!(dump.as_bytes()[PAGE_SIZE as usize], 0x00);
-        assert_eq!(dump.as_bytes()[2 * PAGE_SIZE as usize], 0xBB);
         assert_eq!(dump.captured_pages(), 2);
         assert_eq!(dump.missing_pages(), 1);
         assert!((dump.coverage() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(dump.page_sources()[1], None);
         assert!(!dump.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "PAGE_SIZE")]
-    fn from_pages_rejects_short_pages() {
-        let _ = MemoryDump::from_pages(
-            VirtAddr::new(0),
-            vec![Some((PhysAddr::new(0), vec![0u8; 10]))],
-        );
     }
 
     #[test]

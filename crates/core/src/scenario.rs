@@ -23,17 +23,15 @@
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
 
 use petalinux_sim::{BoardConfig, Kernel, Pid, UserId};
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::runner::heap_image;
 use vitis_ai_sim::{CompletedRun, DpuRunner, Image, LaunchedRun, ModelKind, RunnerError};
 use xsdb::{AuditLog, DebugSession};
-use zynq_dram::{FrameNumber, PhysAddr, ScrubReport, PAGE_SIZE};
+use zynq_dram::{FrameNumber, ScrubReport, PAGE_SIZE};
 
-use crate::attack::{AttackConfig, AttackPipeline, Observation, ScrapeMode};
-use crate::dump::MemoryDump;
+use crate::attack::{AttackConfig, AttackPipeline, Observation};
 use crate::error::AttackError;
 use crate::metrics::AttackOutcome;
 use crate::profile::{ProfileDatabase, Profiler};
@@ -655,9 +653,11 @@ impl AttackScenario {
             scenario: self,
             kernel,
             pipeline,
-            tenants: Vec::new(),
-            traffic_zoo,
-            traffic_cursor: 0,
+            traffic: Traffic {
+                tenants: Vec::new(),
+                zoo: traffic_zoo,
+                cursor: 0,
+            },
         };
         booted.play_prologue()?;
         Ok(booted)
@@ -738,16 +738,63 @@ pub struct BootedScenario<'a> {
     scenario: &'a AttackScenario,
     kernel: Kernel,
     pipeline: AttackPipeline,
+    traffic: Traffic,
+}
+
+/// The scenario's traffic processes: co-resident tenants and the model
+/// rotation every traffic process draws from.
+#[derive(Debug)]
+struct Traffic {
     /// Co-resident tenants still running, oldest first (one under
     /// `MultiTenant`, `tenants` under `LiveTraffic`).
     tenants: Vec<LaunchedRun>,
     /// The seed-rotated model zoo traffic processes draw from (victim's own
     /// model excluded), fixed at boot.
-    traffic_zoo: Vec<ModelKind>,
-    /// Position in the traffic-model rotation (shared by the prologue,
-    /// revival successors and live churn so models never repeat
-    /// back-to-back within a scenario).
-    traffic_cursor: usize,
+    zoo: Vec<ModelKind>,
+    /// Position in the rotation (shared by the prologue, revival successors
+    /// and live churn so models never repeat back-to-back within a
+    /// scenario).
+    cursor: usize,
+}
+
+impl Traffic {
+    /// The next model of the deterministic rotation.
+    fn next_model(&mut self) -> ModelKind {
+        let model = self.zoo[self.cursor % self.zoo.len()];
+        self.cursor += 1;
+        model
+    }
+
+    /// Launches one tenant process with the next rotation model.
+    fn launch(&mut self, kernel: &mut Kernel, user: UserId) -> Result<(), AttackError> {
+        let model = self.next_model();
+        let run = DpuRunner::new(model)
+            .launch(kernel, user)
+            .map_err(runner_error)?;
+        self.tenants.push(run);
+        Ok(())
+    }
+
+    /// One live-traffic churn event: the oldest tenant terminates and a
+    /// replacement launches, re-allocating freed frames mid-scrape.
+    ///
+    /// Returns `false` (no event) when there is no tenant to cycle.
+    fn churn_once(
+        &mut self,
+        kernel: &mut Kernel,
+        reclaimed: &mut BTreeSet<FrameNumber>,
+    ) -> Result<bool, AttackError> {
+        if self.tenants.is_empty() {
+            return Ok(false);
+        }
+        let oldest = self.tenants.remove(0);
+        let user = kernel.process(oldest.pid())?.user();
+        oldest.terminate(kernel).map_err(runner_error)?;
+        self.launch(kernel, user)?;
+        let newest = self.tenants.last().expect("tenant just launched");
+        reclaimed.extend(heap_frames(kernel, newest.pid())?);
+        Ok(true)
+    }
 }
 
 impl<'a> BootedScenario<'a> {
@@ -763,28 +810,12 @@ impl<'a> BootedScenario<'a> {
 
     /// The first co-resident tenant, when the schedule launched one.
     pub fn active_tenant(&self) -> Option<&LaunchedRun> {
-        self.tenants.first()
+        self.traffic.tenants.first()
     }
 
     /// All co-resident tenants currently running, oldest first.
     pub fn tenants(&self) -> &[LaunchedRun] {
-        &self.tenants
-    }
-
-    /// The `index`-th model of the scenario's deterministic traffic rotation.
-    fn traffic_model(&self, index: usize) -> ModelKind {
-        self.traffic_zoo[index % self.traffic_zoo.len()]
-    }
-
-    /// Launches one tenant process with the next rotation model.
-    fn launch_tenant(&mut self, user: UserId) -> Result<(), AttackError> {
-        let model = self.traffic_model(self.traffic_cursor);
-        self.traffic_cursor += 1;
-        let run = DpuRunner::new(model)
-            .launch(&mut self.kernel, user)
-            .map_err(runner_error)?;
-        self.tenants.push(run);
-        Ok(())
+        &self.traffic.tenants
     }
 
     fn play_prologue(&mut self) -> Result<(), AttackError> {
@@ -823,13 +854,13 @@ impl<'a> BootedScenario<'a> {
                     .launch(&mut self.kernel, active_user)
                     .map_err(runner_error)?;
                 self.kernel.terminate(warmup)?;
-                self.tenants.push(active);
+                self.traffic.tenants.push(active);
                 Ok(())
             }
             VictimSchedule::LiveTraffic { tenants, .. } => {
                 for i in 0..tenants {
                     let user = UserId::new(self.scenario.victim_user.as_u32() + 2 + i as u32);
-                    self.launch_tenant(user)?;
+                    self.traffic.launch(&mut self.kernel, user)?;
                 }
                 Ok(())
             }
@@ -854,8 +885,7 @@ impl<'a> BootedScenario<'a> {
             return Ok(());
         };
         for i in 0..successors {
-            let model = self.traffic_model(self.traffic_cursor);
-            self.traffic_cursor += 1;
+            let model = self.traffic.next_model();
             let binary = format!("./{}", model.name());
             let xmodel_path = model.xmodel_path();
             let cmdline = [binary.as_str(), xmodel_path.as_str()];
@@ -895,30 +925,10 @@ impl<'a> BootedScenario<'a> {
         Ok(())
     }
 
-    /// One live-traffic churn event: the oldest tenant terminates and a
-    /// replacement launches, re-allocating freed frames mid-scrape.
-    ///
-    /// Returns `false` (no event) when there is no tenant to cycle.
-    fn churn_tenant_once(
-        &mut self,
-        reclaimed: &mut BTreeSet<FrameNumber>,
-    ) -> Result<bool, AttackError> {
-        if self.tenants.is_empty() {
-            return Ok(false);
-        }
-        let oldest = self.tenants.remove(0);
-        let user = self.kernel.process(oldest.pid())?.user();
-        oldest.terminate(&mut self.kernel).map_err(runner_error)?;
-        self.launch_tenant(user)?;
-        let newest = self.tenants.last().expect("tenant just launched");
-        reclaimed.extend(heap_frames(&self.kernel, newest.pid())?);
-        Ok(true)
-    }
-
-    /// Scrape under live traffic: reads the heap in page chunks, running the
-    /// schedule's churn events between chunks, and counts each victim
-    /// residue frame that was already gone when its page was read.
-    #[allow(clippy::too_many_arguments)]
+    /// Scrape under live traffic: the attack reads the heap page by page, and
+    /// between chunks of [`CHURN_CHUNK_PAGES`] pages one logical tick passes
+    /// and the schedule's churn events run.  Each victim residue frame
+    /// already gone when its page was read counts as lost.
     fn scrape_with_churn(
         &mut self,
         debugger: &mut DebugSession,
@@ -928,148 +938,32 @@ impl<'a> BootedScenario<'a> {
         lifetime: &mut ResidueLifetime,
         reclaimed: &mut BTreeSet<FrameNumber>,
     ) -> Result<AttackOutcome, AttackError> {
-        if debugger.is_running(&self.kernel, observation.pid()) {
-            return Err(AttackError::VictimStillRunning {
-                pid: observation.pid(),
-            });
-        }
-        let translation = observation.translation().clone();
-        let mode = self.pipeline.config().scrape_mode;
-        mode.validate()?;
-        let pid = translation.pid();
-        // A zero-length window is a typed empty dump, exactly as on the
-        // single-sweep paths (`crate::scrape`): checked before any physical
-        // usability test, so a degenerate translation with no pages at all
-        // scores an empty outcome instead of erroring.
-        if translation.heap_len() == 0 {
-            return Ok(self.pipeline.score_dump(
-                observation,
-                &MemoryDump::empty(translation.heap_start()),
-                Duration::ZERO,
-            ));
-        }
-        // Mode-specific usability checks, mirroring `crate::scrape`: the
-        // endpoint attackers (contiguous and its bank-striped variant) need
-        // the first page resident, the per-page attacker needs any page at
-        // all.  Churn interleaves at page-chunk granularity, so the
-        // bank-striped fan-out has nothing to add inside a single page read
-        // — both contiguous attackers scrape chunk-identically here, which
-        // keeps LiveTraffic dumps byte-comparable across scrape modes.
-        let contiguous_start = if mode.reads_contiguous_range() {
-            Some(
-                translation
-                    .phys_start()
-                    .ok_or(AttackError::TranslationEmpty { pid })?,
-            )
-        } else {
-            if translation.present_pages() == 0 {
-                return Err(AttackError::TranslationEmpty { pid });
-            }
-            None
-        };
-
-        let scrape_start = Instant::now();
-        let window = self.kernel.config().dram();
-        let mut captured: Vec<Option<(PhysAddr, Vec<u8>)>> =
-            Vec::with_capacity(translation.pages().len());
-        for (index, page) in translation.pages().iter().enumerate() {
-            if index > 0 && index % CHURN_CHUNK_PAGES == 0 {
-                // Each churned chunk is one logical tick: the slow, chunked
-                // scrape gives residue time to decay under a non-perfect
-                // remanence model (and gives background scrubbers time to
-                // fire), sequenced by chunk count — never wall clock — so
-                // campaigns stay replayable.
-                self.kernel.tick(1);
+        let traffic = &mut self.traffic;
+        let pages = observation.translation().pages();
+        let mut churn = |kernel: &mut Kernel, index: usize| {
+            if index > 0 && index.is_multiple_of(CHURN_CHUNK_PAGES) {
+                // The slow, chunked scrape gives residue time to decay (and
+                // background scrubbers time to fire), sequenced by chunk
+                // count, never wall clock, so campaigns stay replayable.
+                kernel.tick(1);
                 for _ in 0..churn_rate {
-                    // Only churn that actually happened counts: with no
-                    // tenants to cycle there is no event to record.
-                    if self.churn_tenant_once(reclaimed)? {
+                    if traffic.churn_once(kernel, reclaimed)? {
                         lifetime.churn_events += 1;
                     }
                 }
             }
-            // Residue-lifetime accounting at the moment of the read: was this
-            // page's frame still victim residue when the attacker got to it?
-            if let Some(pa) = page {
+            // Was this page's frame still victim residue when the attacker
+            // got to it?
+            if let Some(pa) = pages.get(index).copied().flatten() {
                 let frame = pa.frame_number();
-                if victim_residue.contains(&frame) && frame_lost(&self.kernel, frame, reclaimed) {
+                if victim_residue.contains(&frame) && frame_lost(kernel, frame, reclaimed) {
                     lifetime.frames_lost_before_scrape += 1;
                 }
             }
-            // The paper's endpoint-based attacker assumes contiguity from the
-            // first page; the per-page attacker uses each page's translation.
-            // Edge semantics mirror `crate::scrape` exactly, so a LiveTraffic
-            // dump is byte-comparable to a Single-schedule one: contiguous
-            // reads clamp to the DRAM window and zero-pad, per-page reads
-            // propagate channel errors.
-            if mode.reads_contiguous_range() {
-                let pa = contiguous_start.expect("checked for contiguous mode")
-                    + index as u64 * PAGE_SIZE;
-                if pa < window.end() {
-                    let available = window.end().offset_from(pa).min(PAGE_SIZE) as usize;
-                    let mut bytes = debugger.read_phys_range(&self.kernel, pa, available)?;
-                    bytes.resize(PAGE_SIZE as usize, 0);
-                    captured.push(Some((pa, bytes)));
-                } else {
-                    captured.push(None);
-                }
-            } else {
-                match page {
-                    Some(pa) => {
-                        let bytes =
-                            debugger.read_phys_range(&self.kernel, *pa, PAGE_SIZE as usize)?;
-                        captured.push(Some((*pa, bytes)));
-                    }
-                    None => captured.push(None),
-                }
-            }
-        }
-        let mut dump = if mode.reads_contiguous_range() {
-            let start = contiguous_start.expect("checked for contiguous mode");
-            let heap_len = translation.heap_len() as usize;
-            let mut bytes = Vec::with_capacity(heap_len);
-            for page in &captured {
-                match page {
-                    Some((_, data)) => bytes.extend_from_slice(data),
-                    None => bytes.extend(std::iter::repeat_n(0u8, PAGE_SIZE as usize)),
-                }
-            }
-            bytes.truncate(heap_len);
-            // The multi-snapshot attacker takes its remaining reads here, one
-            // decay tick apart, pinned relative to the scrape start: the
-            // churned chunk pass above is snapshot 1 (its ticks are sequenced
-            // by chunk count), and each further snapshot is one full-range
-            // re-read a tick later.  Before this arm existed the mode
-            // silently degenerated under live traffic to the single churned
-            // pass.
-            if let ScrapeMode::MultiSnapshot { snapshots } = mode {
-                let mut reads = Vec::with_capacity(snapshots);
-                reads.push(std::mem::take(&mut bytes));
-                for _ in 1..snapshots {
-                    self.kernel.tick(1);
-                    let mut snapshot = if start < window.end() {
-                        let available = window.end().offset_from(start).min(heap_len as u64);
-                        debugger.read_phys_range(&self.kernel, start, available as usize)?
-                    } else {
-                        Vec::new()
-                    };
-                    snapshot.resize(heap_len, 0);
-                    reads.push(snapshot);
-                }
-                bytes = crate::analysis::reconstruct::fuse_snapshots(&reads);
-                bytes.resize(heap_len, 0);
-            }
-            MemoryDump::from_contiguous(translation.heap_start(), start, bytes)
-        } else {
-            MemoryDump::from_pages(translation.heap_start(), captured)
+            Ok(())
         };
-        // Drain the compressed-swap channel before scoring, exactly as the
-        // single-sweep `execute_mut` path does.
         self.pipeline
-            .read_swap_residue(&self.kernel, observation, &mut dump);
-        Ok(self
-            .pipeline
-            .score_dump(observation, &dump, scrape_start.elapsed()))
+            .execute_with(debugger, &mut self.kernel, observation, Some(&mut churn))
     }
 
     /// Stage 2: launches the victim model on the booted board.
@@ -1161,7 +1055,7 @@ impl<'a> BootedScenario<'a> {
                     .filter(|frame| frame_lost(&self.kernel, **frame, &reclaimed))
                     .count();
                 self.pipeline
-                    .execute_mut(&mut debugger, &mut self.kernel, &observation)?
+                    .execute(&mut debugger, &mut self.kernel, &observation)?
             }
         };
 
@@ -1179,11 +1073,11 @@ impl<'a> BootedScenario<'a> {
             .iter()
             .map(|r| r.collateral_bytes)
             .sum();
-        let active_tenant_intact = if self.tenants.is_empty() {
+        let active_tenant_intact = if self.traffic.tenants.is_empty() {
             None
         } else {
             let mut all_intact = true;
-            for tenant in &self.tenants {
+            for tenant in &self.traffic.tenants {
                 all_intact &= self.active_tenant_data_intact(tenant)?;
             }
             Some(all_intact)
@@ -1551,59 +1445,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_scrape_handles_zero_and_sub_page_windows() {
-        use crate::translate::HeapTranslation;
-        use zynq_mmu::VirtAddr;
-
-        let scenario = AttackScenario::new(BoardConfig::tiny_for_tests(), ModelKind::SqueezeNet)
-            .with_schedule(VictimSchedule::LiveTraffic {
-                tenants: 1,
-                churn_rate: 1,
-            })
-            .with_seed(23);
-        let mut booted = scenario.boot().unwrap();
-        let victim = booted.launch_victim().unwrap();
-        victim.terminate(&mut booted.kernel).unwrap();
-        let mut debugger = DebugSession::connect(UserId::new(1));
-        let base = booted.kernel.config().dram().base();
-
-        // Degenerate windows cannot be produced through the live capture
-        // (the kernel page-aligns heaps and the debugger rejects heap-less
-        // processes), so the translations are assembled directly — exactly
-        // what a replayed or corrupted observation can hand the scraper.
-        for len in [0u64, 1, PAGE_SIZE - 1] {
-            let pages = if len == 0 { vec![] } else { vec![Some(base)] };
-            let translation = HeapTranslation::from_parts(
-                Pid::new(9999),
-                VirtAddr::new(0x2000),
-                VirtAddr::new(0x2000 + len),
-                pages,
-            );
-            let observation = Observation::from_translation(translation);
-            let mut lifetime = ResidueLifetime::default();
-            let mut reclaimed = BTreeSet::new();
-            let outcome = booted
-                .scrape_with_churn(
-                    &mut debugger,
-                    &observation,
-                    1,
-                    &BTreeSet::new(),
-                    &mut lifetime,
-                    &mut reclaimed,
-                )
-                .unwrap();
-            // A typed, correctly sized outcome at every width — never a
-            // `TranslationEmpty` error, never a page-rounded dump.
-            assert_eq!(outcome.bytes_scraped, len as usize, "len={len}");
-            if len == 0 {
-                assert_eq!(outcome.dump_coverage, 0.0);
-                assert_eq!(lifetime.churn_events, 0);
-                assert!(outcome.identified.is_none());
-            }
-        }
-    }
-
-    #[test]
     fn live_traffic_multi_snapshot_takes_real_snapshots_and_replays() {
         use zynq_dram::RemanenceModel;
         let board = BoardConfig::tiny_for_tests()
@@ -1681,84 +1522,6 @@ mod tests {
         // Churn is sequenced by the seed, not the wall clock: replays match.
         let replay = at_churn(4);
         assert_eq!(stormy.metrics(), replay.metrics());
-    }
-
-    #[test]
-    fn churn_free_scrape_matches_the_pipeline_scraper_byte_for_byte() {
-        // Anti-drift pin for the duplicated edge semantics: on the same
-        // terminated board, `scrape_with_churn` at churn 0 must produce the
-        // identical attack outcome (minus wall-clock) as the one-shot
-        // `AttackPipeline::execute` path, in both scrape modes.
-        for mode in [ScrapeMode::ContiguousRange, ScrapeMode::PerPage] {
-            let scenario =
-                AttackScenario::new(BoardConfig::tiny_for_tests(), ModelKind::SqueezeNet)
-                    .with_corrupted_input()
-                    .with_attack_config(AttackConfig {
-                        scrape_mode: mode,
-                        victim_pattern: Some("squeezenet".to_string()),
-                        ..AttackConfig::default()
-                    })
-                    .with_seed(13);
-            let mut booted = scenario.boot().unwrap();
-            let victim = booted.launch_victim().unwrap();
-            let mut debugger = DebugSession::connect(UserId::new(1));
-            let observation = booted
-                .pipeline
-                .poll_and_observe(&mut debugger, &booted.kernel)
-                .unwrap();
-            victim.terminate(&mut booted.kernel).unwrap();
-
-            let via_pipeline = booted
-                .pipeline
-                .execute(&mut debugger, &booted.kernel, &observation)
-                .unwrap();
-
-            let mut lifetime = ResidueLifetime::default();
-            let mut reclaimed = std::collections::BTreeSet::new();
-            let via_churn_path = booted
-                .scrape_with_churn(
-                    &mut debugger,
-                    &observation,
-                    0,
-                    &std::collections::BTreeSet::new(),
-                    &mut lifetime,
-                    &mut reclaimed,
-                )
-                .unwrap();
-
-            assert_eq!(via_pipeline.identified, via_churn_path.identified, "{mode}");
-            assert_eq!(via_pipeline.marker_runs, via_churn_path.marker_runs);
-            assert_eq!(
-                via_pipeline.reconstructed_image,
-                via_churn_path.reconstructed_image
-            );
-            assert_eq!(
-                via_pipeline.image_offset_used,
-                via_churn_path.image_offset_used
-            );
-            assert_eq!(via_pipeline.bytes_scraped, via_churn_path.bytes_scraped);
-            assert_eq!(via_pipeline.dump_coverage, via_churn_path.dump_coverage);
-            assert_eq!(lifetime.churn_events, 0);
-        }
-    }
-
-    #[test]
-    fn zero_worker_bank_striping_fails_under_live_traffic_too() {
-        // The churn scraper ignores the fan-out (it reads page chunks), but
-        // an invalid zero-worker mode must fail here exactly like it does on
-        // the single-sweep path — not silently succeed.
-        let result = AttackScenario::new(BoardConfig::tiny_for_tests(), ModelKind::SqueezeNet)
-            .with_attack_config(AttackConfig {
-                scrape_mode: ScrapeMode::BankStriped { workers: 0 },
-                ..AttackConfig::default()
-            })
-            .with_schedule(VictimSchedule::LiveTraffic {
-                tenants: 1,
-                churn_rate: 1,
-            })
-            .execute();
-        let err = result.unwrap_err();
-        assert!(err.to_string().contains("zero workers"), "{err}");
     }
 
     #[test]

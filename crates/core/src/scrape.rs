@@ -1,18 +1,37 @@
 //! Step 3: extract data from physical addresses after victim termination.
+//!
+//! One function, [`ScrapePlan::new`], turns a captured [`HeapTranslation`]
+//! and a [`ScrapeMode`] into the physical segments a scrape reads or
+//! zero-fills, in virtual order (the `translated_byte_buffer` idiom).  The
+//! zero-length, empty-translation, window-end clamp, gap-page and coverage
+//! rules live there and nowhere else.  The scrapers only differ in how they
+//! take the reads:
+//!
+//! - [`ScrapePlan::read`] takes them in one pass, borrowed where the kernel
+//!   lends the bytes ([`scrape_heap`] and [`scrape_heap_view`] wrap it);
+//! - `ScrapePlan::read_owned` copies them, ticking the kernel between
+//!   multi-snapshot passes and running a hook between heap pages (the
+//!   live-traffic schedule churns tenants there).
 
 // Lint audit: address arithmetic here is bounds-checked against the
 // DRAM window before any narrowing cast or direct index; offsets are
 // derived from validated window-relative coordinates.
 #![allow(clippy::cast_possible_truncation, clippy::indexing_slicing)]
 
-use petalinux_sim::Kernel;
+use petalinux_sim::{Kernel, PhysBytes, PhysRead};
 use xsdb::DebugSession;
-use zynq_dram::{ScrapeView, PAGE_SIZE};
+use zynq_dram::{PhysAddr, ScrapeView, PAGE_SIZE};
+use zynq_mmu::VirtAddr;
 
+use crate::analysis::reconstruct::fuse_snapshots;
 use crate::attack::ScrapeMode;
 use crate::dump::{HeapView, MemoryDump};
 use crate::error::AttackError;
 use crate::translate::HeapTranslation;
+
+/// Work run before each heap page of a paged read, given the kernel and the
+/// page's index.
+pub(crate) type PageHook<'h> = dyn FnMut(&mut Kernel, usize) -> Result<(), AttackError> + 'h;
 
 /// Scrapes the victim's heap from physical memory using a previously captured
 /// translation.
@@ -35,9 +54,11 @@ use crate::translate::HeapTranslation;
 /// - [`ScrapeMode::PerPage`] — translate and read every page individually; a
 ///   stronger attacker that tolerates scattered physical layouts.
 /// - [`ScrapeMode::MultiSnapshot`] — the contiguous read repeated across
-///   revival windows and OR-fused; on this immutable entry point it
-///   degenerates to the single contiguous sweep (see
-///   [`scrape_heap_snapshots`] for the real N-pass read).
+///   revival windows and OR-fused.  Without a mutable kernel the decay clock
+///   cannot advance between snapshots, and the fusion of same-tick reads of
+///   a monotone decay view is the first read, so here it is one contiguous
+///   sweep ([`crate::attack::AttackPipeline::execute`] takes the real
+///   N-pass read).
 ///
 /// # Errors
 ///
@@ -50,34 +71,18 @@ pub fn scrape_heap(
     translation: &HeapTranslation,
     mode: ScrapeMode,
 ) -> Result<MemoryDump, AttackError> {
-    mode.validate()?;
-    match mode {
-        ScrapeMode::ContiguousRange => scrape_contiguous(debugger, kernel, translation, None),
-        ScrapeMode::BankStriped { workers } => {
-            scrape_contiguous(debugger, kernel, translation, Some(workers))
-        }
-        // Without a mutable kernel the decay clock cannot advance between
-        // snapshots, and OR-fusing N identical-tick reads of a monotone decay
-        // view equals the earliest read — so the single contiguous sweep is
-        // byte-identical to the fused result.  The real N-pass read lives in
-        // `scrape_heap_snapshots`.
-        ScrapeMode::MultiSnapshot { .. } => scrape_contiguous(debugger, kernel, translation, None),
-        ScrapeMode::PerPage => scrape_per_page(debugger, kernel, translation),
-    }
+    let plan = ScrapePlan::new(kernel, translation, mode)?;
+    let bytes = plan.read(debugger, kernel)?.into_vec();
+    Ok(plan.dump(bytes))
 }
 
-/// The zero-copy form of [`scrape_heap`]: borrows the victim's heap as a
-/// [`HeapView`] over the DRAM bank arenas instead of copying it out.
+/// The zero-copy form of [`scrape_heap`]: the victim's heap as a [`HeapView`]
+/// borrowed from the DRAM bank arenas.
 ///
-/// Returns `Ok(None)` when the board's remanence model forces an owned decay
-/// transform — callers then fall back to [`scrape_heap`].  When a view is
-/// returned, its bytes and coverage are identical to the owned dump the same
-/// mode would produce, and the debugger audit trail records the same
-/// `ReadPhys` operations.
-///
-/// [`ScrapeMode::BankStriped`] degenerates to the contiguous view: assembling
-/// a borrowed view is O(segments) with no byte copying, so there is nothing
-/// left to fan out across bank workers.
+/// Returns `Ok(None)` when the board's remanence model made the kernel copy
+/// the reads (decay); [`scrape_heap`] then gives the owned dump.  A view's
+/// bytes and coverage are those of the owned dump, and the audit trail holds
+/// the same `ReadPhys` operations.
 ///
 /// # Errors
 ///
@@ -88,225 +93,245 @@ pub fn scrape_heap_view<'k>(
     translation: &HeapTranslation,
     mode: ScrapeMode,
 ) -> Result<Option<HeapView<'k>>, AttackError> {
-    mode.validate()?;
-    if !kernel.zero_copy_reads_available() {
-        return Ok(None);
-    }
-    match mode {
-        // MultiSnapshot joins the contiguous modes here for the same reason
-        // it does in `scrape_heap`: with an immutable kernel every snapshot
-        // reads the same tick, and the OR-fusion of identical reads is that
-        // read.
-        ScrapeMode::ContiguousRange
-        | ScrapeMode::BankStriped { .. }
-        | ScrapeMode::MultiSnapshot { .. } => scrape_contiguous_view(debugger, kernel, translation),
-        ScrapeMode::PerPage => scrape_per_page_view(debugger, kernel, translation),
-    }
-}
-
-/// A multi-snapshot scrape: the fused dump the analysis consumes plus the
-/// raw per-snapshot reads (each taken one decay tick after the previous).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotScrape {
-    /// The OR-fused dump ([`crate::analysis::reconstruct::fuse_snapshots`]).
-    pub dump: MemoryDump,
-    /// The individual snapshots, earliest first.
-    pub snapshots: Vec<Vec<u8>>,
-}
-
-/// The mutable-kernel form of [`scrape_heap`] for
-/// [`ScrapeMode::MultiSnapshot`]: reads the victim's contiguous physical
-/// range `snapshots` times across successive decay ticks and OR-fuses the
-/// reads into one dump.
-///
-/// Because decay only ever clears bits, the fused dump is a bitwise superset
-/// of every individual snapshot and a subset of the raw residue; with the
-/// default perfect remanence every snapshot is identical and the fused dump
-/// equals the single-read scrape.  Edge semantics (empty translation,
-/// zero-length heap, window-end clamping) mirror the contiguous scrape.
-///
-/// # Errors
-///
-/// Same conditions as [`scrape_heap`], plus a rejection of zero snapshot
-/// counts.
-pub fn scrape_heap_snapshots(
-    debugger: &mut DebugSession,
-    kernel: &mut Kernel,
-    translation: &HeapTranslation,
-    snapshots: usize,
-) -> Result<SnapshotScrape, AttackError> {
-    ScrapeMode::MultiSnapshot { snapshots }.validate()?;
-    // A zero-length window is a typed empty scrape, not a translation error:
-    // it is checked before `phys_start()` so a degenerate translation with no
-    // pages at all still dumps empty instead of erroring.
-    let len = translation.heap_len() as usize;
-    if len == 0 {
-        return Ok(SnapshotScrape {
-            dump: MemoryDump::empty(translation.heap_start()),
-            snapshots: vec![Vec::new(); snapshots],
-        });
-    }
-    let start = translation
-        .phys_start()
-        .ok_or(AttackError::TranslationEmpty {
-            pid: translation.pid(),
-        })?;
-    let window_end = kernel.config().dram().end();
-    let available = window_end.offset_from(start).min(len as u64) as usize;
-    let reads = debugger.read_phys_snapshots(kernel, start, available, snapshots)?;
-    let mut fused = crate::analysis::reconstruct::fuse_snapshots(&reads);
-    fused.resize(len, 0);
-    Ok(SnapshotScrape {
-        dump: MemoryDump::from_contiguous(translation.heap_start(), start, fused),
-        snapshots: reads,
+    let plan = ScrapePlan::new(kernel, translation, mode)?;
+    Ok(match plan.read(debugger, kernel)? {
+        PhysBytes::Borrowed(view) => Some(plan.heap_view(view)),
+        PhysBytes::Owned(_) => None,
     })
 }
 
-fn scrape_contiguous_view<'k>(
-    debugger: &mut DebugSession,
-    kernel: &'k Kernel,
-    translation: &HeapTranslation,
-) -> Result<Option<HeapView<'k>>, AttackError> {
-    // Zero-length window first, as in the owned path: a typed empty view,
-    // even when the translation carries no physical pages.
-    let len = translation.heap_len() as usize;
-    if len == 0 {
-        return Ok(Some(HeapView::empty(translation.heap_start())));
-    }
-    let start = translation
-        .phys_start()
-        .ok_or(AttackError::TranslationEmpty {
-            pid: translation.pid(),
-        })?;
-    // Same window-end clamp as the owned read; the unreadable tail is
-    // zero-padded with shared zero chunks.  The padding starts on a view-unit
-    // boundary: window end and heap start are page-aligned, and the unit
-    // divides the page size.
-    let window_end = kernel.config().dram().end();
-    let available = window_end.offset_from(start).min(len as u64);
-    let Some(mut view) = debugger.read_phys_view(kernel, start, available)? else {
-        return Ok(None);
-    };
-    view.push_zeros(len - available as usize);
-    // The owned contiguous dump records every page as captured (including a
-    // zero-padded tail); mirror that so coverage agrees.
-    let pages = len.div_ceil(PAGE_SIZE as usize);
-    Ok(Some(HeapView::new(
-        translation.heap_start(),
-        view,
-        pages,
-        pages,
-    )))
+/// One stretch of the heap, in virtual order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Segment {
+    /// Bytes read from physical memory.
+    Read(PhysRead),
+    /// Bytes the scrape cannot reach (a missing page, or a tail past the
+    /// DRAM window), which read as zeros.
+    Zeros(usize),
 }
 
-fn scrape_per_page_view<'k>(
-    debugger: &mut DebugSession,
-    kernel: &'k Kernel,
-    translation: &HeapTranslation,
-) -> Result<Option<HeapView<'k>>, AttackError> {
-    if translation.heap_len() == 0 {
-        return Ok(Some(HeapView::empty(translation.heap_start())));
+impl Segment {
+    fn len(self) -> usize {
+        match self {
+            Segment::Read(request) => request.len as usize,
+            Segment::Zeros(len) => len,
+        }
     }
-    if translation.present_pages() == 0 {
-        return Err(AttackError::TranslationEmpty {
+
+    /// Splits off the first `at` bytes.  The pieces read with one worker:
+    /// they are at most a page, too small to fan out.
+    fn split_at(self, at: usize) -> (Segment, Segment) {
+        match self {
+            Segment::Read(request) => {
+                let at = at as u64;
+                (
+                    Segment::Read(PhysRead::new(request.addr, at)),
+                    Segment::Read(PhysRead::new(request.addr + at, request.len - at)),
+                )
+            }
+            Segment::Zeros(len) => (Segment::Zeros(at), Segment::Zeros(len - at)),
+        }
+    }
+}
+
+/// The physical reads one heap scrape takes: the segments to read or
+/// zero-fill, in virtual order, and the physical source of each heap page.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScrapePlan {
+    heap_start: VirtAddr,
+    segments: Vec<Segment>,
+    page_sources: Vec<Option<PhysAddr>>,
+}
+
+impl ScrapePlan {
+    /// Lists the reads `mode` takes to scrape the heap `translation`
+    /// describes on `kernel`'s board.
+    ///
+    /// - A zero-length heap is an empty plan.
+    /// - The contiguous modes read from the first page's frame for the whole
+    ///   heap length.  A range running past the DRAM window (randomized
+    ///   layouts can put the first page near the top of memory) is clamped,
+    ///   and the tail reads as zeros: the real attack's `devmem` loop would
+    ///   simply get errors for those words.  Every page counts as captured.
+    /// - The per-page mode reads each present page where it lies; a missing
+    ///   page reads as zeros and counts as missing.
+    ///
+    /// # Errors
+    ///
+    /// Rejects invalid modes ([`ScrapeMode::validate`]), and returns
+    /// [`AttackError::TranslationEmpty`] when the mode finds no page to start
+    /// from.
+    pub fn new(
+        kernel: &Kernel,
+        translation: &HeapTranslation,
+        mode: ScrapeMode,
+    ) -> Result<Self, AttackError> {
+        mode.validate()?;
+        let mut plan = ScrapePlan {
+            heap_start: translation.heap_start(),
+            segments: Vec::new(),
+            page_sources: Vec::new(),
+        };
+        // Checked before `phys_start()`, so a degenerate translation with no
+        // pages at all still scrapes empty instead of erroring.
+        let len = translation.heap_len();
+        if len == 0 {
+            return Ok(plan);
+        }
+        let empty = AttackError::TranslationEmpty {
             pid: translation.pid(),
-        });
+        };
+        if mode.reads_contiguous_range() {
+            let start = translation.phys_start().ok_or(empty)?;
+            let available = kernel.config().dram().end().offset_from(start).min(len);
+            let workers = match mode {
+                ScrapeMode::BankStriped { workers } => workers,
+                _ => 1,
+            };
+            plan.segments = vec![
+                Segment::Read(PhysRead::new(start, available).with_workers(workers)),
+                Segment::Zeros((len - available) as usize),
+            ];
+            plan.page_sources = (0..len.div_ceil(PAGE_SIZE))
+                .map(|page| Some(start + page * PAGE_SIZE))
+                .collect();
+        } else {
+            if translation.present_pages() == 0 {
+                return Err(empty);
+            }
+            plan.segments = translation
+                .pages()
+                .iter()
+                .map(|page| match page {
+                    Some(pa) => Segment::Read(PhysRead::new(*pa, PAGE_SIZE)),
+                    None => Segment::Zeros(PAGE_SIZE as usize),
+                })
+                .collect();
+            plan.page_sources = translation.pages().to_vec();
+        }
+        Ok(plan)
     }
-    // The view unit comes from the first captured page (it is a board
-    // constant), so gap pages ahead of it are buffered as a count and
-    // prepended once the unit is known.
-    let mut view: Option<ScrapeView<'k>> = None;
-    let mut leading_gaps = 0usize;
-    let mut captured = 0usize;
-    for page in translation.pages() {
-        match page {
-            Some(pa) => {
-                let Some(page_view) = debugger.read_phys_view(kernel, *pa, PAGE_SIZE)? else {
-                    return Ok(None);
-                };
-                captured += 1;
-                let stitched = view.get_or_insert_with(|| ScrapeView::with_unit(page_view.unit()));
-                if leading_gaps > 0 {
-                    stitched.push_zeros(leading_gaps * PAGE_SIZE as usize);
-                    leading_gaps = 0;
+
+    /// Reads the plan in one pass, one debugger read per segment.  The bytes
+    /// stay borrowed from the bank arenas when the kernel lends every read
+    /// (perfect remanence); a decaying board copies them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failed read; the reads before it stay in the
+    /// audit trail.
+    pub fn read<'k>(
+        &self,
+        debugger: &mut DebugSession,
+        kernel: &'k Kernel,
+    ) -> Result<PhysBytes<'k>, AttackError> {
+        read_segments(debugger, kernel, &self.segments)
+    }
+
+    /// Reads the plan `snapshots` times into an owned dump, ticking the
+    /// kernel once between passes, and OR-fuses the passes
+    /// ([`fuse_snapshots`]): Pentimento's accumulate-across-reads attacker.
+    /// One snapshot is a plain owned read.
+    ///
+    /// With `between_pages`, the first pass reads page by page and runs the
+    /// hook before each heap page, so the kernel can change under the scrape.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read and hook errors.
+    pub(crate) fn read_owned(
+        &self,
+        debugger: &mut DebugSession,
+        kernel: &mut Kernel,
+        snapshots: usize,
+        mut between_pages: Option<&mut PageHook<'_>>,
+    ) -> Result<MemoryDump, AttackError> {
+        let mut reads = Vec::with_capacity(snapshots);
+        for snapshot in 0..snapshots {
+            if snapshot > 0 {
+                kernel.tick(1);
+            }
+            let bytes = match between_pages.as_deref_mut() {
+                Some(hook) if snapshot == 0 => self.read_paged(debugger, kernel, hook)?,
+                _ => self.read(debugger, kernel)?.into_vec(),
+            };
+            reads.push(bytes);
+        }
+        let bytes = if reads.len() > 1 {
+            fuse_snapshots(&reads)
+        } else {
+            reads.pop().unwrap_or_default()
+        };
+        Ok(self.dump(bytes))
+    }
+
+    /// One owned pass, page by page, with `between_pages` run before each
+    /// heap page.
+    fn read_paged(
+        &self,
+        debugger: &mut DebugSession,
+        kernel: &mut Kernel,
+        between_pages: &mut PageHook<'_>,
+    ) -> Result<Vec<u8>, AttackError> {
+        let mut bytes = Vec::new();
+        for (index, page) in self.pages().iter().enumerate() {
+            between_pages(kernel, index)?;
+            bytes.extend_from_slice(&read_segments(debugger, kernel, page)?.into_vec());
+        }
+        Ok(bytes)
+    }
+
+    /// The segments cut at heap page boundaries, one list per heap page.
+    fn pages(&self) -> Vec<Vec<Segment>> {
+        let page_len = PAGE_SIZE as usize;
+        let mut pages: Vec<Vec<Segment>> = Vec::new();
+        let mut room = 0;
+        for &segment in &self.segments {
+            let mut rest = segment;
+            while rest.len() > 0 {
+                if room == 0 {
+                    pages.push(Vec::new());
+                    room = page_len;
                 }
-                stitched.append(page_view);
+                let (piece, tail) = rest.split_at(rest.len().min(room));
+                room -= piece.len();
+                if let Some(page) = pages.last_mut() {
+                    page.push(piece);
+                }
+                rest = tail;
             }
-            None => match view.as_mut() {
-                Some(stitched) => stitched.push_zeros(PAGE_SIZE as usize),
-                None => leading_gaps += 1,
-            },
         }
+        pages
     }
-    let view = view.expect("present_pages() > 0 guarantees at least one captured page");
-    Ok(Some(HeapView::new(
-        translation.heap_start(),
-        view,
-        captured,
-        translation.pages().len(),
-    )))
+
+    /// Wraps bytes read under this plan as an owned dump.
+    pub fn dump(&self, bytes: Vec<u8>) -> MemoryDump {
+        MemoryDump::from_sources(self.heap_start, bytes, self.page_sources.clone())
+    }
+
+    /// Wraps a borrowed view read under this plan as a heap view.
+    pub fn heap_view<'k>(&self, view: ScrapeView<'k>) -> HeapView<'k> {
+        let captured = self.page_sources.iter().flatten().count();
+        HeapView::new(self.heap_start, view, captured, self.page_sources.len())
+    }
 }
 
-fn scrape_contiguous(
+/// Reads `segments` through `debugger`, joined in order.  Reads come back
+/// borrowed or owned as the kernel decides; zero-filled stretches join in the
+/// board's view unit, so they stitch with borrowed reads.
+fn read_segments<'k>(
     debugger: &mut DebugSession,
-    kernel: &Kernel,
-    translation: &HeapTranslation,
-    bank_workers: Option<usize>,
-) -> Result<MemoryDump, AttackError> {
-    // A zero-length window is a typed empty dump, not a translation error,
-    // so it is checked before `phys_start()`: a degenerate translation with
-    // no pages at all must not be promoted to `TranslationEmpty`.
-    let len = translation.heap_len() as usize;
-    if len == 0 {
-        return Ok(MemoryDump::empty(translation.heap_start()));
-    }
-    let start = translation
-        .phys_start()
-        .ok_or(AttackError::TranslationEmpty {
-            pid: translation.pid(),
-        })?;
-    // Reading beyond the DRAM window (possible when randomized layouts put the
-    // first heap page near the top of memory) is clamped rather than failed:
-    // the real attack's devmem loop would simply get errors for those words.
-    let window_end = kernel.config().dram().end();
-    let available = window_end.offset_from(start).min(len as u64) as usize;
-    let bytes = match bank_workers {
-        Some(workers) => debugger.read_phys_range_banked(kernel, start, available, workers)?,
-        None => debugger.read_phys_range(kernel, start, available)?,
-    };
-    let mut padded = bytes;
-    padded.resize(len, 0);
-    Ok(MemoryDump::from_contiguous(
-        translation.heap_start(),
-        start,
-        padded,
-    ))
-}
-
-fn scrape_per_page(
-    debugger: &mut DebugSession,
-    kernel: &Kernel,
-    translation: &HeapTranslation,
-) -> Result<MemoryDump, AttackError> {
-    if translation.heap_len() == 0 {
-        return Ok(MemoryDump::empty(translation.heap_start()));
-    }
-    if translation.present_pages() == 0 {
-        return Err(AttackError::TranslationEmpty {
-            pid: translation.pid(),
-        });
-    }
-    let mut pages = Vec::with_capacity(translation.pages().len());
-    for page in translation.pages() {
-        match page {
-            Some(pa) => {
-                let bytes = debugger.read_phys_range(kernel, *pa, PAGE_SIZE as usize)?;
-                pages.push(Some((*pa, bytes)));
-            }
-            None => pages.push(None),
+    kernel: &'k Kernel,
+    segments: &[Segment],
+) -> Result<PhysBytes<'k>, AttackError> {
+    let mut bytes = PhysBytes::Borrowed(ScrapeView::with_unit(kernel.dram().view_unit()));
+    for &segment in segments {
+        match segment {
+            Segment::Read(request) => bytes.append(debugger.read_phys(kernel, request)?),
+            Segment::Zeros(len) => bytes.push_zeros(len),
         }
     }
-    Ok(MemoryDump::from_pages(translation.heap_start(), pages))
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -314,12 +339,15 @@ mod tests {
     use super::*;
     use petalinux_sim::{BoardConfig, Pid, UserId};
     use vitis_ai_sim::{DpuRunner, Image, ModelKind};
-    use zynq_mmu::VirtAddr;
+    use zynq_dram::RemanenceModel;
 
     use crate::translate::capture_heap_translation;
 
-    fn attacked_board() -> (Kernel, vitis_ai_sim::CompletedRun, HeapTranslation) {
-        let mut kernel = Kernel::boot(BoardConfig::tiny_for_tests());
+    fn attacked_board_with(
+        board: BoardConfig,
+    ) -> (Kernel, vitis_ai_sim::CompletedRun, HeapTranslation) {
+        let mut kernel = Kernel::boot(board);
+        kernel.set_remanence_seed(99);
         let launched = DpuRunner::new(ModelKind::SqueezeNet)
             .with_input(Image::corrupted(224, 224))
             .launch(&mut kernel, UserId::new(0))
@@ -330,85 +358,65 @@ mod tests {
         (kernel, run, translation)
     }
 
+    fn attacked_board() -> (Kernel, vitis_ai_sim::CompletedRun, HeapTranslation) {
+        attacked_board_with(BoardConfig::tiny_for_tests())
+    }
+
+    fn decaying_board() -> BoardConfig {
+        BoardConfig::tiny_for_tests()
+            .with_remanence(RemanenceModel::Exponential { half_life_ticks: 4 })
+    }
+
+    /// A translation of `pages` over the attacked heap's virtual window.
+    fn with_pages(translation: &HeapTranslation, pages: Vec<Option<PhysAddr>>) -> HeapTranslation {
+        HeapTranslation::from_parts(
+            translation.pid(),
+            translation.heap_start(),
+            translation.heap_end(),
+            pages,
+        )
+    }
+
+    /// A synthetic `len`-byte window whose first page is at `first`.
+    fn window(len: u64, first: PhysAddr) -> HeapTranslation {
+        let start = zynq_mmu::VirtAddr::new(0x1000);
+        let mut pages = vec![None; len.div_ceil(PAGE_SIZE).max(1) as usize];
+        pages[0] = Some(first);
+        HeapTranslation::from_parts(Pid::new(77), start, start + len, pages)
+    }
+
     #[test]
-    fn both_modes_recover_identical_data_under_default_layout() {
+    fn every_mode_recovers_the_residue_and_borrows_it_under_perfect_remanence() {
         let (kernel, run, translation) = attacked_board();
         let mut dbg = DebugSession::connect(UserId::new(1));
-
         let contiguous =
             scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        let per_page = scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::PerPage).unwrap();
-
         assert_eq!(contiguous.len() as u64, run.layout().heap_len);
-        assert_eq!(contiguous.as_bytes(), per_page.as_bytes());
-        assert_eq!(per_page.coverage(), 1.0);
-
-        // The scraped dump contains the model string and the corrupted-image
-        // marker, i.e. the victim's residue.
+        assert_eq!(contiguous.coverage(), 1.0);
+        // The dump holds the model string and the corrupted-image marker,
+        // i.e. the victim's residue.
         let hex = contiguous.to_hexdump();
         assert!(!hex.grep("squeezenet").is_empty());
-        let marker_offset = hex.find(&[0xFF; 16]).unwrap() as u64;
-        assert_eq!(marker_offset, run.layout().image_offset);
-    }
+        assert_eq!(
+            hex.find(&[0xFF; 16]).unwrap() as u64,
+            run.layout().image_offset
+        );
 
-    #[test]
-    fn bank_striped_mode_is_byte_identical_to_contiguous() {
-        let (kernel, _run, translation) = attacked_board();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let contiguous =
-            scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let striped = scrape_heap(
-                &mut dbg,
-                &kernel,
-                &translation,
-                ScrapeMode::BankStriped { workers },
-            )
-            .unwrap();
-            assert_eq!(
-                contiguous.as_bytes(),
-                striped.as_bytes(),
-                "workers={workers}"
-            );
-            assert_eq!(contiguous.coverage(), striped.coverage());
-        }
-    }
-
-    #[test]
-    fn zero_worker_bank_striping_is_rejected_up_front() {
-        // `workers` is a public field, so an invalid mode can reach the
-        // scrape without passing any builder assert; every path refuses it
-        // with the same channel error (before touching memory — even an
-        // empty heap must not make the invalid mode silently succeed).
-        let (kernel, _run, translation) = attacked_board();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let err = scrape_heap(
-            &mut dbg,
-            &kernel,
-            &translation,
-            ScrapeMode::BankStriped { workers: 0 },
-        )
-        .unwrap_err();
-        assert!(matches!(err, AttackError::Channel(_)), "{err}");
-        assert!(err.to_string().contains("zero workers"));
-    }
-
-    #[test]
-    fn zero_copy_view_is_byte_identical_to_the_owned_dump_in_every_mode() {
-        let (kernel, _run, translation) = attacked_board();
-        let mut dbg = DebugSession::connect(UserId::new(1));
+        // Every mode — multi-snapshot included, which degenerates to one
+        // sweep on a borrowed kernel — reads the same bytes, and the borrowed
+        // view matches the owned dump in bytes and coverage.
         for mode in [
-            ScrapeMode::ContiguousRange,
-            ScrapeMode::BankStriped { workers: 4 },
             ScrapeMode::PerPage,
+            ScrapeMode::BankStriped { workers: 1 },
+            ScrapeMode::BankStriped { workers: 4 },
+            ScrapeMode::MultiSnapshot { snapshots: 3 },
         ] {
             let dump = scrape_heap(&mut dbg, &kernel, &translation, mode).unwrap();
+            assert_eq!(dump, contiguous, "{mode}");
             let heap = scrape_heap_view(&mut dbg, &kernel, &translation, mode)
                 .unwrap()
-                .expect("perfect remanence permits borrowed reads");
-            assert_eq!(heap.len(), dump.len(), "{mode}");
+                .expect("perfect remanence lends the bytes");
             assert_eq!(heap.to_bytes(), dump.as_bytes(), "{mode}");
-            assert_eq!(heap.coverage(), dump.coverage(), "{mode}");
             assert_eq!(heap.heap_start(), dump.heap_start(), "{mode}");
             assert_eq!(heap.captured_pages(), dump.captured_pages(), "{mode}");
             assert_eq!(heap.missing_pages(), dump.missing_pages(), "{mode}");
@@ -416,255 +424,154 @@ mod tests {
     }
 
     #[test]
-    fn view_scrape_stitches_gap_pages_and_clamps_like_the_owned_path() {
-        let (kernel, _run, translation) = attacked_board();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-
-        // Leading and interior gaps: pages 0 and 2 dropped.
-        let mut pages = translation.pages().to_vec();
-        pages[0] = None;
-        pages[2] = None;
-        let partial = HeapTranslation::from_parts(
-            translation.pid(),
-            translation.heap_start(),
-            translation.heap_end(),
-            pages,
-        );
-        let dump = scrape_heap(&mut dbg, &kernel, &partial, ScrapeMode::PerPage).unwrap();
-        let heap = scrape_heap_view(&mut dbg, &kernel, &partial, ScrapeMode::PerPage)
-            .unwrap()
-            .unwrap();
-        assert_eq!(heap.to_bytes(), dump.as_bytes());
-        assert_eq!(heap.missing_pages(), 2);
-        assert_eq!(heap.coverage(), dump.coverage());
-
-        // Window-end clamp: the unreadable tail reads as zero padding.
-        let near_end = kernel.config().dram().end() - PAGE_SIZE;
-        let clamped = HeapTranslation::from_parts(
-            Pid::new(77),
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x1000 + 4 * PAGE_SIZE),
-            vec![Some(near_end), None, None, None],
-        );
-        let dump = scrape_heap(&mut dbg, &kernel, &clamped, ScrapeMode::ContiguousRange).unwrap();
-        let heap = scrape_heap_view(&mut dbg, &kernel, &clamped, ScrapeMode::ContiguousRange)
-            .unwrap()
-            .unwrap();
-        assert_eq!(heap.len() as u64, 4 * PAGE_SIZE);
-        assert_eq!(heap.to_bytes(), dump.as_bytes());
-
-        // Zero-length heap mirrors the owned empty dump.
-        let empty = HeapTranslation::from_parts(
-            Pid::new(77),
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x1000),
-            vec![Some(kernel.config().dram().base())],
-        );
-        let heap = scrape_heap_view(&mut dbg, &kernel, &empty, ScrapeMode::ContiguousRange)
-            .unwrap()
-            .unwrap();
-        assert!(heap.is_empty());
-        assert_eq!(heap.coverage(), 0.0);
-    }
-
-    #[test]
-    fn view_scrape_declines_under_decaying_remanence() {
-        use zynq_dram::RemanenceModel;
-        let board = BoardConfig::tiny_for_tests().with_remanence(RemanenceModel::Exponential {
-            half_life_ticks: 1000,
-        });
-        let mut kernel = Kernel::boot(board);
-        let launched = DpuRunner::new(ModelKind::SqueezeNet)
-            .with_input(Image::corrupted(224, 224))
-            .launch(&mut kernel, UserId::new(0))
-            .unwrap();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let translation = capture_heap_translation(&mut dbg, &kernel, launched.pid()).unwrap();
-        launched.terminate(&mut kernel).unwrap();
-        for mode in [ScrapeMode::ContiguousRange, ScrapeMode::PerPage] {
-            assert!(scrape_heap_view(&mut dbg, &kernel, &translation, mode)
-                .unwrap()
-                .is_none());
-        }
-        // The invalid mode is still rejected ahead of the remanence gate.
-        let err = scrape_heap_view(
-            &mut dbg,
-            &kernel,
-            &translation,
-            ScrapeMode::BankStriped { workers: 0 },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("zero workers"));
-    }
-
-    #[test]
-    fn multi_snapshot_mode_degenerates_to_contiguous_on_immutable_paths() {
-        let (kernel, _run, translation) = attacked_board();
+    fn decayed_reads_are_owned_and_the_bank_fan_out_never_changes_them() {
+        let (kernel, _run, translation) = attacked_board_with(decaying_board());
         let mut dbg = DebugSession::connect(UserId::new(1));
         let contiguous =
             scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        let multi = scrape_heap(
-            &mut dbg,
-            &kernel,
-            &translation,
-            ScrapeMode::MultiSnapshot { snapshots: 3 },
-        )
-        .unwrap();
-        assert_eq!(contiguous.as_bytes(), multi.as_bytes());
-        let heap = scrape_heap_view(
-            &mut dbg,
-            &kernel,
-            &translation,
-            ScrapeMode::MultiSnapshot { snapshots: 3 },
-        )
-        .unwrap()
-        .expect("perfect remanence permits borrowed reads");
-        assert_eq!(heap.to_bytes(), contiguous.as_bytes());
-    }
-
-    #[test]
-    fn snapshot_scrape_fuses_decaying_reads_soundly() {
-        use zynq_dram::RemanenceModel;
-        let board = BoardConfig::tiny_for_tests()
-            .with_remanence(RemanenceModel::Exponential { half_life_ticks: 4 });
-        let mut kernel = Kernel::boot(board);
-        kernel.set_remanence_seed(99);
-        let launched = DpuRunner::new(ModelKind::SqueezeNet)
-            .with_input(Image::corrupted(224, 224))
-            .launch(&mut kernel, UserId::new(0))
-            .unwrap();
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let translation = capture_heap_translation(&mut dbg, &kernel, launched.pid()).unwrap();
-        launched.terminate(&mut kernel).unwrap();
-
-        let scrape = scrape_heap_snapshots(&mut dbg, &mut kernel, &translation, 3).unwrap();
-        assert_eq!(scrape.snapshots.len(), 3);
-        let fused = scrape.dump.as_bytes();
-        for (i, snapshot) in scrape.snapshots.iter().enumerate() {
-            for (f, s) in fused.iter().zip(snapshot) {
-                assert_eq!(s & !f, 0, "snapshot {i} bit missing from fusion");
-            }
+        for mode in [
+            ScrapeMode::ContiguousRange,
+            ScrapeMode::PerPage,
+            ScrapeMode::BankStriped { workers: 4 },
+        ] {
+            assert!(scrape_heap_view(&mut dbg, &kernel, &translation, mode)
+                .unwrap()
+                .is_none());
+            let dump = scrape_heap(&mut dbg, &kernel, &translation, mode).unwrap();
+            assert_eq!(dump.as_bytes(), contiguous.as_bytes(), "{mode}");
         }
-        // Under monotone decay the fusion equals the earliest snapshot
-        // (padded to heap length).
-        let mut earliest = scrape.snapshots[0].clone();
-        earliest.resize(fused.len(), 0);
-        assert_eq!(fused, &earliest[..]);
-        // Later snapshots genuinely lose bytes at this half-life.
-        let survivors = |bytes: &[u8]| bytes.iter().filter(|&&b| b != 0).count();
-        assert!(survivors(&scrape.snapshots[2]) < survivors(&scrape.snapshots[0]));
     }
 
     #[test]
-    fn snapshot_scrape_rejects_zero_and_mirrors_edge_semantics() {
-        let (kernel, _run, translation) = attacked_board();
-        let mut kernel = kernel;
+    fn invalid_modes_are_rejected_before_any_read() {
+        // The fields are public, so an invalid mode can reach the scrape
+        // without passing any builder assert; every path refuses it with the
+        // same channel error before touching memory — even for an empty heap.
+        let (kernel, _run, _) = attacked_board();
         let mut dbg = DebugSession::connect(UserId::new(1));
-        let err = scrape_heap_snapshots(&mut dbg, &mut kernel, &translation, 0).unwrap_err();
-        assert!(matches!(err, AttackError::Channel(_)), "{err}");
-        assert!(err.to_string().contains("zero snapshots"));
-
-        // Empty translation and zero-length heap behave like the contiguous
-        // scrape.
-        let empty = HeapTranslation::from_parts(
-            translation.pid(),
-            translation.heap_start(),
-            translation.heap_end(),
-            vec![None; translation.pages().len()],
-        );
-        assert!(matches!(
-            scrape_heap_snapshots(&mut dbg, &mut kernel, &empty, 2),
-            Err(AttackError::TranslationEmpty { .. })
-        ));
-        let zero_len = HeapTranslation::from_parts(
-            Pid::new(77),
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x1000),
-            vec![Some(kernel.config().dram().base())],
-        );
-        let scrape = scrape_heap_snapshots(&mut dbg, &mut kernel, &zero_len, 2).unwrap();
-        assert!(scrape.dump.is_empty());
-        assert_eq!(scrape.snapshots, vec![Vec::new(); 2]);
-
-        // Under perfect remanence every snapshot is identical and the fused
-        // dump equals the single-read scrape.
-        let single =
-            scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        let multi = scrape_heap_snapshots(&mut dbg, &mut kernel, &translation, 3).unwrap();
-        assert_eq!(multi.dump.as_bytes(), single.as_bytes());
-        assert!(multi.snapshots.windows(2).all(|w| w[0] == w[1]));
+        let empty = window(0, kernel.config().dram().base());
+        for (mode, message) in [
+            (ScrapeMode::BankStriped { workers: 0 }, "zero workers"),
+            (ScrapeMode::MultiSnapshot { snapshots: 0 }, "zero snapshots"),
+        ] {
+            let err = scrape_heap(&mut dbg, &kernel, &empty, mode).unwrap_err();
+            assert!(matches!(err, AttackError::Channel(_)), "{err}");
+            assert!(err.to_string().contains(message), "{err}");
+        }
+        assert!(dbg.audit().is_empty());
     }
 
     #[test]
-    fn per_page_mode_fills_missing_pages_with_zeros() {
+    fn plan_rules_hold_for_the_borrowed_and_the_owned_scrape() {
         let (kernel, _run, translation) = attacked_board();
-        // Drop one page from the translation to simulate a swapped-out page.
+        let mut dbg = DebugSession::connect(UserId::new(1));
+        let both = |dbg: &mut DebugSession, translation: &HeapTranslation, mode| {
+            let dump = scrape_heap(dbg, &kernel, translation, mode).unwrap();
+            let heap = scrape_heap_view(dbg, &kernel, translation, mode)
+                .unwrap()
+                .unwrap();
+            assert_eq!(heap.to_bytes(), dump.as_bytes(), "{mode}");
+            assert_eq!(heap.coverage(), dump.coverage(), "{mode}");
+            dump
+        };
+
+        // Gap pages — a leading and an interior one — read as zeros and count
+        // as missing.
         let mut pages = translation.pages().to_vec();
-        pages[1] = None;
-        let partial = HeapTranslation::from_parts(
-            translation.pid(),
-            translation.heap_start(),
-            translation.heap_end(),
-            pages,
+        pages[0] = None;
+        pages[2] = None;
+        let gappy = both(
+            &mut dbg,
+            &with_pages(&translation, pages),
+            ScrapeMode::PerPage,
         );
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let dump = scrape_heap(&mut dbg, &kernel, &partial, ScrapeMode::PerPage).unwrap();
-        assert_eq!(dump.missing_pages(), 1);
-        assert!(dump.coverage() < 1.0);
-        assert!(dump.as_bytes()[PAGE_SIZE as usize..2 * PAGE_SIZE as usize]
-            .iter()
-            .all(|&b| b == 0));
-    }
+        assert_eq!(gappy.missing_pages(), 2);
+        let page = PAGE_SIZE as usize;
+        assert!(gappy.as_bytes()[2 * page..3 * page].iter().all(|&b| b == 0));
 
-    #[test]
-    fn empty_translation_is_rejected() {
-        let (kernel, _, translation) = attacked_board();
-        let empty = HeapTranslation::from_parts(
-            translation.pid(),
-            translation.heap_start(),
-            translation.heap_end(),
-            vec![None; translation.pages().len()],
-        );
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        assert!(matches!(
-            scrape_heap(&mut dbg, &kernel, &empty, ScrapeMode::PerPage),
-            Err(AttackError::TranslationEmpty { .. })
-        ));
-        assert!(matches!(
-            scrape_heap(&mut dbg, &kernel, &empty, ScrapeMode::ContiguousRange),
-            Err(AttackError::TranslationEmpty { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_length_heap_yields_empty_dump() {
-        let (kernel, _, _) = attacked_board();
-        let translation = HeapTranslation::from_parts(
-            Pid::new(77),
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x1000),
-            vec![Some(kernel.config().dram().base())],
-        );
-        let mut dbg = DebugSession::connect(UserId::new(1));
-        let dump =
-            scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        assert!(dump.is_empty());
-    }
-
-    #[test]
-    fn contiguous_read_near_window_end_is_clamped() {
-        let (kernel, _, _) = attacked_board();
+        // Window-end clamp: the unreadable tail is zero padding, and every
+        // page of the endpoint scrape counts as captured.
         let near_end = kernel.config().dram().end() - PAGE_SIZE;
-        let translation = HeapTranslation::from_parts(
-            Pid::new(77),
-            VirtAddr::new(0x1000),
-            VirtAddr::new(0x1000 + 4 * PAGE_SIZE),
-            vec![Some(near_end), None, None, None],
+        let clamped = both(
+            &mut dbg,
+            &window(4 * PAGE_SIZE, near_end),
+            ScrapeMode::ContiguousRange,
         );
+        assert_eq!(clamped.len() as u64, 4 * PAGE_SIZE);
+        assert_eq!(clamped.coverage(), 1.0);
+
+        // Zero-length and sub-page windows scrape exactly their length.
+        let base = kernel.config().dram().base();
+        for len in [0, 1, PAGE_SIZE - 1] {
+            let dump = both(&mut dbg, &window(len, base), ScrapeMode::ContiguousRange);
+            assert_eq!(dump.len() as u64, len);
+        }
+        assert_eq!(
+            both(&mut dbg, &window(0, base), ScrapeMode::PerPage).coverage(),
+            0.0
+        );
+
+        // No page to start from is a typed error in both modes.
+        let empty = with_pages(&translation, vec![None; translation.pages().len()]);
+        for mode in [ScrapeMode::PerPage, ScrapeMode::ContiguousRange] {
+            assert!(matches!(
+                scrape_heap(&mut dbg, &kernel, &empty, mode),
+                Err(AttackError::TranslationEmpty { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn snapshot_reads_tick_between_passes_and_fuse_soundly() {
+        let (mut kernel, _run, translation) = attacked_board_with(decaying_board());
         let mut dbg = DebugSession::connect(UserId::new(1));
-        let dump =
-            scrape_heap(&mut dbg, &kernel, &translation, ScrapeMode::ContiguousRange).unwrap();
-        // Full requested length, with the unreadable tail zero-padded.
-        assert_eq!(dump.len() as u64, 4 * PAGE_SIZE);
+        let mode = ScrapeMode::MultiSnapshot { snapshots: 3 };
+        let plan = ScrapePlan::new(&kernel, &translation, mode).unwrap();
+        let first = scrape_heap(&mut dbg, &kernel, &translation, mode).unwrap();
+        let before = kernel.clock();
+        let audited = dbg.audit().len();
+        let fused = plan.read_owned(&mut dbg, &mut kernel, 3, None).unwrap();
+        // One audited read per snapshot, one tick between snapshots.
+        assert_eq!(dbg.audit().len(), audited + 3);
+        assert_eq!(kernel.clock(), before + 2);
+        // Under monotone decay the fusion equals the earliest snapshot, and
+        // later snapshots genuinely lose bytes at this half-life.
+        assert_eq!(fused, first);
+        let last = scrape_heap(&mut dbg, &kernel, &translation, mode).unwrap();
+        let survivors = |bytes: &[u8]| bytes.iter().filter(|&&b| b != 0).count();
+        assert!(survivors(last.as_bytes()) < survivors(fused.as_bytes()));
+        for (f, l) in fused.as_bytes().iter().zip(last.as_bytes()) {
+            assert_eq!(l & !f, 0, "a later bit is missing from the fusion");
+        }
+    }
+
+    #[test]
+    fn paged_reads_run_the_hook_per_page_and_match_the_single_sweep() {
+        let (mut kernel, _run, translation) = attacked_board();
+        let mut dbg = DebugSession::connect(UserId::new(1));
+        let base = kernel.config().dram().base();
+        let (empty, sub_page) = (window(0, base), window(PAGE_SIZE - 1, base));
+        for (translation, mode) in [
+            (&translation, ScrapeMode::ContiguousRange),
+            (&translation, ScrapeMode::PerPage),
+            (&empty, ScrapeMode::ContiguousRange),
+            (&sub_page, ScrapeMode::ContiguousRange),
+        ] {
+            let pages = translation.heap_len().div_ceil(PAGE_SIZE) as usize;
+            let single = scrape_heap(&mut dbg, &kernel, translation, mode).unwrap();
+            let plan = ScrapePlan::new(&kernel, translation, mode).unwrap();
+            let audited = dbg.audit().len();
+            let mut seen = Vec::new();
+            let mut hook = |_: &mut Kernel, index: usize| {
+                seen.push(index);
+                Ok(())
+            };
+            let paged = plan
+                .read_owned(&mut dbg, &mut kernel, 1, Some(&mut hook))
+                .unwrap();
+            assert_eq!(seen, (0..pages).collect::<Vec<_>>(), "{mode}");
+            assert_eq!(dbg.audit().len(), audited + pages, "{mode}");
+            assert_eq!(paged, single, "{mode}");
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! publicly available Vitis AI library offline and therefore knows what byte
 //! patterns each model leaves in memory — most usefully its name and library
 //! path fragments.  [`SignatureDb`] holds those patterns;
-//! [`SignatureDb::match_dump`] scores a scraped dump against every model.
+//! [`SignatureDb::match_view`] scores scraped bytes against every model.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
@@ -13,8 +13,6 @@
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::ScrapeView;
-
-use crate::dump::MemoryDump;
 
 /// Signature of one model: byte patterns whose presence indicates the model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -101,16 +99,11 @@ impl SignatureDb {
         self.signatures.iter().find(|s| s.model == model)
     }
 
-    /// Scores `dump` against every signature, most-confident first.
+    /// Scores scraped bytes against every signature, most-confident first.
+    /// The patterns are searched segment-wise without materializing the
+    /// view.
     ///
     /// Only models with at least one hit are returned.
-    pub fn match_dump(&self, dump: &MemoryDump) -> Vec<ModelMatch> {
-        self.match_view(&dump.as_view())
-    }
-
-    /// [`SignatureDb::match_dump`] over a borrowed [`ScrapeView`]: the
-    /// patterns are searched segment-wise without materializing the dump
-    /// (the dump form delegates here).
     pub fn match_view(&self, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
         let mut matches: Vec<ModelMatch> = self
             .signatures
@@ -140,11 +133,6 @@ impl SignatureDb {
     }
 
     /// The single best match, if any signature hit at all.
-    pub fn best_match(&self, dump: &MemoryDump) -> Option<ModelMatch> {
-        self.match_dump(dump).into_iter().next()
-    }
-
-    /// The single best match over a borrowed view, if any signature hit.
     pub fn best_match_view(&self, view: &ScrapeView<'_>) -> Option<ModelMatch> {
         self.match_view(view).into_iter().next()
     }
@@ -159,6 +147,7 @@ impl Default for SignatureDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dump::MemoryDump;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
 
@@ -183,20 +172,23 @@ mod tests {
         let dump = dump_with(
             b"...vitis_ai_library/models/resnet50_pt/resnet50_pt.xmodel...torchvision/resnet50_pt...",
         );
-        let matches = db.match_dump(&dump);
+        let matches = db.match_view(&dump.as_view());
         assert!(!matches.is_empty());
         assert_eq!(matches[0].model, ModelKind::Resnet50Pt);
         assert_eq!(matches[0].hits, 3);
         assert_eq!(matches[0].confidence(), 1.0);
-        assert_eq!(db.best_match(&dump).unwrap().model, ModelKind::Resnet50Pt);
+        assert_eq!(
+            db.best_match_view(&dump.as_view()).unwrap().model,
+            ModelKind::Resnet50Pt
+        );
     }
 
     #[test]
     fn unrelated_dump_matches_nothing() {
         let db = SignatureDb::standard();
         let dump = dump_with(&[0u8; 512]);
-        assert!(db.match_dump(&dump).is_empty());
-        assert!(db.best_match(&dump).is_none());
+        assert!(db.match_view(&dump.as_view()).is_empty());
+        assert!(db.best_match_view(&dump.as_view()).is_none());
     }
 
     #[test]
@@ -204,7 +196,7 @@ mod tests {
         let db = SignatureDb::standard();
         // Only the bare model name, not the paths.
         let dump = dump_with(b"....squeezenet....");
-        let best = db.best_match(&dump).unwrap();
+        let best = db.best_match_view(&dump.as_view()).unwrap();
         assert_eq!(best.model, ModelKind::SqueezeNet);
         assert_eq!(best.hits, 1);
         assert!(best.confidence() < 1.0);
@@ -217,7 +209,7 @@ mod tests {
         let dump = dump_with(
             b"vitis_ai_library/models/yolov3/yolov3.xmodel ... mobilenet_v2 mentioned once",
         );
-        let matches = db.match_dump(&dump);
+        let matches = db.match_view(&dump.as_view());
         assert_eq!(matches[0].model, ModelKind::YoloV3);
         assert!(matches.iter().any(|m| m.model == ModelKind::MobileNetV2));
     }
@@ -230,7 +222,7 @@ mod tests {
         }]);
         let dump = dump_with(b"vgg16");
         // A signature with no patterns can never match.
-        assert!(db.match_dump(&dump).is_empty());
+        assert!(db.match_view(&dump.as_view()).is_empty());
         assert_eq!(
             ModelMatch {
                 model: ModelKind::Vgg16,
@@ -243,6 +235,8 @@ mod tests {
         );
         // Needle longer than the dump is handled.
         let tiny = dump_with(b"x");
-        assert!(SignatureDb::standard().match_dump(&tiny).is_empty());
+        assert!(SignatureDb::standard()
+            .match_view(&tiny.as_view())
+            .is_empty());
     }
 }

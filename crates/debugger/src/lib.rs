@@ -9,7 +9,7 @@
 //! exposes exactly the operations the attack chains together —
 //! [`DebugSession::list_processes`], [`DebugSession::read_maps`],
 //! [`DebugSession::read_pagemap`], [`DebugSession::translate`] and
-//! [`DebugSession::read_phys_range`].  Whether a cross-user call succeeds is
+//! [`DebugSession::read_phys`].  Whether a cross-user call succeeds is
 //! decided by the board's [`petalinux_sim::IsolationPolicy`], so the
 //! vulnerable default and a hardened configuration can both be exercised.
 //! Every operation is appended to an [`audit::AuditLog`], which the

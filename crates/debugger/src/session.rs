@@ -4,9 +4,9 @@
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
-use petalinux_sim::{Kernel, KernelError, Pid, Shell, UserId};
+use petalinux_sim::{Kernel, KernelError, PhysBytes, PhysRead, Pid, Shell, UserId};
 use serde::{Deserialize, Serialize};
-use zynq_dram::{PhysAddr, ScrapeView};
+use zynq_dram::PhysAddr;
 use zynq_mmu::{pagemap, PagemapEntry, VirtAddr};
 
 use crate::audit::{AuditLog, DebugOp};
@@ -166,117 +166,31 @@ impl DebugSession {
         result
     }
 
-    /// Reads `len` bytes of physical memory (the automated scraping read).
+    /// Reads a range of physical memory (the automated scraping read),
+    /// borrowed or copied as [`Kernel::read_physical`] decides.
+    ///
+    /// Each call is one `ReadPhys` audit entry, allowed or denied, whatever
+    /// the bank worker count or the form the bytes come back in: the
+    /// defender's monitor sees one access per read.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`DebugSession::read_phys_u32`].
-    pub fn read_phys_range(
-        &mut self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        let result = self.shell.devmem_read_bytes(kernel, addr, len);
-        self.audit.record(
-            self.user,
-            DebugOp::ReadPhys {
-                addr,
-                len: len as u64,
-            },
-            result.is_ok(),
-        );
-        result
-    }
-
-    /// Reads `len` bytes of physical memory with the read fanned across
-    /// `workers` DRAM-bank workers (the bank-striped scraping strategy).
-    ///
-    /// The bytes — and the audit trail — are identical to
-    /// [`DebugSession::read_phys_range`]; the stripes of each bank are simply
-    /// pulled concurrently, the way an attacker runs one `devmem` loop per
-    /// bank.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DebugSession::read_phys_range`].
-    pub fn read_phys_range_banked(
-        &mut self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-        workers: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        let result = self
-            .shell
-            .devmem_read_bytes_banked(kernel, addr, len, workers);
-        self.audit.record(
-            self.user,
-            DebugOp::ReadPhys {
-                addr,
-                len: len as u64,
-            },
-            result.is_ok(),
-        );
-        result
-    }
-
-    /// Borrows `len` bytes of physical memory as a zero-copy view over the
-    /// DRAM bank arenas instead of copying them out.
-    ///
-    /// The audit trail is identical to [`DebugSession::read_phys_range`] —
-    /// the defender's monitor sees the same `ReadPhys` access pattern either
-    /// way.  `Ok(None)` means the board's remanence model forces an owned
-    /// read; callers fall back to the copying form.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DebugSession::read_phys_range`].
-    pub fn read_phys_view<'k>(
+    /// Same conditions as [`DebugSession::read_phys_u32`], plus a rejection
+    /// of zero-sized worker pools.
+    pub fn read_phys<'k>(
         &mut self,
         kernel: &'k Kernel,
-        addr: PhysAddr,
-        len: u64,
-    ) -> Result<Option<ScrapeView<'k>>, KernelError> {
-        let result = self.shell.devmem_read_view(kernel, addr, len);
-        self.audit
-            .record(self.user, DebugOp::ReadPhys { addr, len }, result.is_ok());
-        result
-    }
-
-    /// Reads the same `len`-byte physical range `snapshots` times across
-    /// successive decay ticks ([`Shell::devmem_read_snapshots`]).
-    ///
-    /// Each snapshot is a separate physical read, so the defender's monitor
-    /// sees one `ReadPhys` audit entry per snapshot — repeated scraping of
-    /// the same range is exactly the access pattern a remanence-accumulation
-    /// attack leaves behind.  A failed batch records a single denied entry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DebugSession::read_phys_range`], plus a rejection
-    /// of zero snapshot counts.
-    pub fn read_phys_snapshots(
-        &mut self,
-        kernel: &mut Kernel,
-        addr: PhysAddr,
-        len: usize,
-        snapshots: usize,
-    ) -> Result<Vec<Vec<u8>>, KernelError> {
-        let result = self
-            .shell
-            .devmem_read_snapshots(kernel, addr, len, snapshots);
-        let entries = result.as_ref().map_or(1, Vec::len).max(1);
-        for _ in 0..entries {
-            self.audit.record(
-                self.user,
-                DebugOp::ReadPhys {
-                    addr,
-                    len: len as u64,
-                },
-                result.is_ok(),
-            );
-        }
+        request: PhysRead,
+    ) -> Result<PhysBytes<'k>, KernelError> {
+        let result = self.shell.devmem_read(kernel, request);
+        self.audit.record(
+            self.user,
+            DebugOp::ReadPhys {
+                addr: request.addr,
+                len: request.len,
+            },
+            result.is_ok(),
+        );
         result
     }
 }
@@ -336,7 +250,9 @@ mod tests {
             .unwrap();
         assert_eq!(word.to_le_bytes(), expected);
 
-        let range = dbg.read_phys_range(&kernel, pa.align_down(), 64).unwrap();
+        let range = dbg
+            .read_phys(&kernel, PhysRead::new(pa.align_down(), 64))
+            .unwrap();
         assert_eq!(range.len(), 64);
 
         // Audit log captured the whole session.
@@ -368,7 +284,7 @@ mod tests {
             .read_phys_u32(&kernel, kernel.config().dram().base())
             .is_err());
         assert!(dbg
-            .read_phys_range(&kernel, kernel.config().dram().base(), 16)
+            .read_phys(&kernel, PhysRead::new(kernel.config().dram().base(), 16))
             .is_err());
         assert_eq!(dbg.audit().denied_count(), 5);
         assert_eq!(dbg.audit().physical_bytes_read(), 0);

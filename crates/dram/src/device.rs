@@ -793,14 +793,6 @@ impl Dram {
         Ok(())
     }
 
-    /// `true` when [`Dram::scrape_view`] will hand out borrowed views —
-    /// i.e. the remanence model is perfect, so reads need no owned decay
-    /// transform.  Callers use this to pick the zero-copy path up front
-    /// without issuing a speculative read.
-    pub fn supports_borrowed_reads(&self) -> bool {
-        self.remanence.is_perfect()
-    }
-
     /// Borrows a zero-copy [`ScrapeView`] of `[addr, addr + len)` straight
     /// out of the bank arenas: no bytes are copied, and regions outside
     /// every slab span alias a shared static zero chunk.
@@ -819,8 +811,8 @@ impl Dram {
         if !self.remanence.is_perfect() {
             return Ok(None);
         }
-        let unit = self.stripe_bytes.min(PAGE_SIZE);
-        let mut view = ScrapeView::with_unit(unit as usize);
+        let mut view = ScrapeView::with_unit(self.view_unit());
+        let unit = view.unit() as u64;
         let rel = addr.offset_from(self.config.base());
         // Partial head up to the next unit boundary.  Units never straddle a
         // stripe: the unit divides the stripe size (both are powers of two,
@@ -837,6 +829,12 @@ impl Dram {
             cursor += chunk as u64;
         }
         Ok(Some(view))
+    }
+
+    /// The chunk unit of every [`ScrapeView`] this store lends: the bank
+    /// stripe, capped at a page.
+    pub fn view_unit(&self) -> usize {
+        self.stripe_bytes.min(PAGE_SIZE) as usize
     }
 
     /// A borrowed `len`-byte slice at window offset `rel`; the caller

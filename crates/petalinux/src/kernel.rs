@@ -7,15 +7,14 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use zynq_dram::{
-    sanitize, Dram, FrameNumber, PhysAddr, SanitizePolicy, ScrapeView, ScrubReport, PAGE_SIZE,
-};
+use zynq_dram::{sanitize, Dram, FrameNumber, PhysAddr, SanitizePolicy, ScrubReport, PAGE_SIZE};
 use zynq_mmu::{
     AddressSpace, AddressSpaceLayout, FrameAllocator, PagePermissions, VirtAddr, VmaKind,
 };
 
 use crate::config::BoardConfig;
 use crate::error::KernelError;
+use crate::phys::{PhysBytes, PhysRead};
 use crate::process::{Pid, Process};
 use crate::user::UserId;
 
@@ -605,89 +604,31 @@ impl Kernel {
         Ok(self.dram.read_u32(addr)?)
     }
 
-    /// Reads raw bytes from physical memory.
+    /// Reads a range of physical memory: the kernel-side primitive behind
+    /// every multi-byte `devmem` read.  Permission checks live in
+    /// [`crate::Shell`] and the debugger, not here.
     ///
-    /// # Errors
-    ///
-    /// Propagates DRAM range errors.
-    pub fn read_physical_bytes(&self, addr: PhysAddr, buf: &mut [u8]) -> Result<(), KernelError> {
-        Ok(self.dram.read_bytes(addr, buf)?)
-    }
-
-    /// `true` when [`Kernel::read_physical_view`] will hand out borrowed
-    /// views (the DRAM remanence model needs no owned decay transform), so
-    /// scrapers can pick the zero-copy path without a speculative read.
-    pub fn zero_copy_reads_available(&self) -> bool {
-        self.dram.supports_borrowed_reads()
-    }
-
-    /// Borrows a zero-copy view of physical memory straight out of the DRAM
-    /// bank arenas ([`zynq_dram::Dram::scrape_view`]).
-    ///
-    /// Returns `Ok(None)` when the remanence model requires an owned decay
-    /// transform; callers then fall back to [`Kernel::read_physical_bytes`].
-    /// When a view is returned it is byte-identical to that owned read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM range errors.
-    pub fn read_physical_view(
-        &self,
-        addr: PhysAddr,
-        len: u64,
-    ) -> Result<Option<ScrapeView<'_>>, KernelError> {
-        Ok(self.dram.scrape_view(addr, len)?)
-    }
-
-    /// Reads raw bytes from physical memory with the read fanned across
-    /// `workers` bank-shard workers ([`zynq_dram::Dram::scrape_banks_parallel`]).
-    ///
-    /// The bytes returned are identical to [`Kernel::read_physical_bytes`];
-    /// only the wall clock differs.
+    /// This is the one place that decides how the bytes come back.  Under
+    /// a perfect remanence model they are borrowed straight out of the DRAM
+    /// bank arenas ([`zynq_dram::Dram::scrape_view`]).  Otherwise the read
+    /// copies the decayed residue out across `request.workers` bank-shard
+    /// workers ([`zynq_dram::Dram::scrape_banks_parallel`]).  Either way the
+    /// bytes are those of a plain sequential read.
     ///
     /// # Errors
     ///
     /// Propagates DRAM range errors, and rejects a zero-sized worker pool.
-    pub fn read_physical_bytes_parallel(
-        &self,
-        addr: PhysAddr,
-        buf: &mut [u8],
-        workers: usize,
-    ) -> Result<(), KernelError> {
-        Ok(self.dram.scrape_banks_parallel(addr, buf, workers)?)
-    }
-
-    /// Reads the same physical range `snapshots` times, advancing the decay
-    /// clock one tick between reads (each snapshot therefore sees the residue
-    /// one revival window later than the previous one).
-    ///
-    /// The first snapshot is taken at the current clock, so a single-snapshot
-    /// read is byte-identical to [`Kernel::read_physical_bytes`].  Ticking the
-    /// clock also runs any background scrubs that come due, exactly as
-    /// [`Kernel::tick`] would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM range errors, and rejects a zero snapshot count.
-    pub fn read_physical_snapshots(
-        &mut self,
-        addr: PhysAddr,
-        len: usize,
-        snapshots: usize,
-    ) -> Result<Vec<Vec<u8>>, KernelError> {
-        if snapshots == 0 {
-            return Err(zynq_dram::DramError::ZeroSnapshots.into());
+    pub fn read_physical(&self, request: PhysRead) -> Result<PhysBytes<'_>, KernelError> {
+        if request.workers == 0 {
+            return Err(zynq_dram::DramError::ZeroWorkers.into());
         }
-        let mut reads = Vec::with_capacity(snapshots);
-        for snapshot in 0..snapshots {
-            if snapshot > 0 {
-                self.tick(1);
-            }
-            let mut buf = vec![0u8; len];
-            self.read_physical_bytes(addr, &mut buf)?;
-            reads.push(buf);
+        if let Some(view) = self.dram.scrape_view(request.addr, request.len)? {
+            return Ok(PhysBytes::Borrowed(view));
         }
-        Ok(reads)
+        let mut buf = vec![0u8; request.len as usize];
+        self.dram
+            .scrape_banks_parallel(request.addr, &mut buf, request.workers)?;
+        Ok(PhysBytes::Owned(buf))
     }
 
     /// Formats a kernel tick as the `HH:MM` wall-clock string `ps -ef` prints
@@ -714,6 +655,12 @@ mod tests {
 
     fn kernel() -> Kernel {
         Kernel::boot(BoardConfig::tiny_for_tests())
+    }
+
+    fn read(k: &Kernel, pa: PhysAddr, len: usize) -> Vec<u8> {
+        k.read_physical(PhysRead::new(pa, len as u64))
+            .unwrap()
+            .into_vec()
     }
 
     #[test]
@@ -815,8 +762,7 @@ mod tests {
         assert!(k.residue_frame_count() > 0);
 
         // The residue is still readable through physical memory (the attack).
-        let mut buf = vec![0u8; 11];
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        let buf = read(&k, pa, 11);
         assert_eq!(&buf, b"resnet50_pt");
     }
 
@@ -838,8 +784,7 @@ mod tests {
 
         let report = k.terminate(pid).unwrap();
         assert!(report.bytes_scrubbed >= 4096);
-        let mut buf = vec![0u8; 6];
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        let buf = read(&k, pa, 6);
         assert_eq!(buf, vec![0u8; 6]);
         assert_eq!(k.residue_frame_count(), 0);
     }
@@ -864,14 +809,13 @@ mod tests {
         assert_eq!(k.pending_scrubs(), 1);
 
         // Within the window the residue is readable.
-        let mut buf = vec![0u8; 6];
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        let mut buf = read(&k, pa, 6);
         assert_eq!(&buf, b"secret");
 
         // After the window it is gone.
         k.tick(60);
         assert_eq!(k.pending_scrubs(), 0);
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        buf = read(&k, pa, buf.len());
         assert_eq!(buf, vec![0u8; 6]);
         // Two reports: the termination itself plus the deferred scrub.
         assert_eq!(k.scrub_reports().len(), 2);
@@ -1050,8 +994,7 @@ mod tests {
 
         // One logical tick after termination: some bytes already decayed,
         // most survive.
-        let mut soon = vec![0u8; 4096];
-        k.read_physical_bytes(pa, &mut soon).unwrap();
+        let soon = read(&k, pa, 4096);
         let survivors_soon = soon.iter().filter(|&&b| b != 0).count();
         assert!(survivors_soon > 2048, "{survivors_soon}");
         assert!(survivors_soon < 4096, "{survivors_soon}");
@@ -1059,8 +1002,7 @@ mod tests {
         // Many half-lives later the residue is effectively gone — and only
         // logical ticks moved it there, never wall clock.
         k.tick(64);
-        let mut late = vec![0u8; 4096];
-        k.read_physical_bytes(pa, &mut late).unwrap();
+        let late = read(&k, pa, 4096);
         assert!(late.iter().all(|&b| b == 0));
 
         // The raw store still tracks the frame as (undecayed) residue; decay
@@ -1071,59 +1013,42 @@ mod tests {
     }
 
     #[test]
-    fn multi_snapshot_reads_tick_the_clock_and_only_lose_bits() {
+    fn physical_reads_borrow_only_when_no_decay_transform_is_needed() {
         use zynq_dram::RemanenceModel;
-        let mut k = Kernel::boot(
-            BoardConfig::tiny_for_tests()
-                .with_remanence(RemanenceModel::Exponential { half_life_ticks: 2 }),
-        );
-        k.set_remanence_seed(7);
-        let pid = k.spawn(UserId::new(0), &["victim"]).unwrap();
-        k.grow_heap(pid, 4096).unwrap();
-        let heap = k.process(pid).unwrap().heap_base();
-        k.write_process_memory(pid, heap, &[0xA5; 4096]).unwrap();
-        let pa = k
-            .process(pid)
-            .unwrap()
-            .address_space()
-            .translate(heap)
-            .unwrap();
-        k.terminate(pid).unwrap();
+        for (remanence, borrowed) in [
+            (RemanenceModel::Perfect, true),
+            (RemanenceModel::Exponential { half_life_ticks: 2 }, false),
+        ] {
+            let mut k = Kernel::boot(BoardConfig::tiny_for_tests().with_remanence(remanence));
+            let pid = k.spawn(UserId::new(0), &["victim"]).unwrap();
+            k.grow_heap(pid, 3 * 4096).unwrap();
+            let heap = k.process(pid).unwrap().heap_base();
+            k.write_process_memory(pid, heap, &[0xA5; 3 * 4096])
+                .unwrap();
+            let pa = k
+                .process(pid)
+                .unwrap()
+                .address_space()
+                .translate(heap)
+                .unwrap();
+            k.terminate(pid).unwrap();
+            k.tick(1);
 
-        assert!(matches!(
-            k.read_physical_snapshots(pa, 4096, 0),
-            Err(KernelError::Dram(zynq_dram::DramError::ZeroSnapshots))
-        ));
-
-        let before = k.clock();
-        let snaps = k.read_physical_snapshots(pa, 4096, 3).unwrap();
-        assert_eq!(snaps.len(), 3);
-        // Snapshots 2 and 3 are taken one and two ticks later.
-        assert_eq!(k.clock(), before + 2);
-        // Decay only clears bits, so each later snapshot is a bitwise subset
-        // of the earlier ones.
-        for pair in snaps.windows(2) {
-            for (earlier, later) in pair[0].iter().zip(&pair[1]) {
-                assert_eq!(later & !earlier, 0);
+            let request = PhysRead::new(pa, 3 * 4096);
+            let sequential = k.read_physical(request).unwrap();
+            assert_eq!(matches!(sequential, PhysBytes::Borrowed(_)), borrowed);
+            let sequential = sequential.into_vec();
+            // The worker count changes how a copy is made, never the bytes.
+            for workers in [2, 4] {
+                let banked = k.read_physical(request.with_workers(workers)).unwrap();
+                assert_eq!(banked.len(), 3 * 4096);
+                assert_eq!(banked.into_vec(), sequential);
             }
+            assert!(matches!(
+                k.read_physical(request.with_workers(0)),
+                Err(KernelError::Dram(zynq_dram::DramError::ZeroWorkers))
+            ));
         }
-        // The first snapshot matches a plain read taken at the same tick: the
-        // clock only advances *between* snapshots, never before the first.
-        let mut replay = vec![0u8; 4096];
-        let mut fresh = Kernel::boot(
-            BoardConfig::tiny_for_tests()
-                .with_remanence(RemanenceModel::Exponential { half_life_ticks: 2 }),
-        );
-        fresh.set_remanence_seed(7);
-        let pid = fresh.spawn(UserId::new(0), &["victim"]).unwrap();
-        fresh.grow_heap(pid, 4096).unwrap();
-        let heap = fresh.process(pid).unwrap().heap_base();
-        fresh
-            .write_process_memory(pid, heap, &[0xA5; 4096])
-            .unwrap();
-        fresh.terminate(pid).unwrap();
-        fresh.read_physical_bytes(pa, &mut replay).unwrap();
-        assert_eq!(snaps[0], replay);
     }
 
     #[test]
@@ -1211,8 +1136,7 @@ mod tests {
         assert_eq!(k.cow_shared_frames().count(), 0);
         assert!(k.allocator().is_allocated(pa.frame_number()));
         // The parent's bytes are intact, tagged as dead-owner residue.
-        let mut buf = vec![0u8; 16];
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        let mut buf = read(&k, pa, 16);
         assert_eq!(&buf, b"inherited secret");
         assert!(k.residue_frame_count() > 0);
 
@@ -1220,7 +1144,7 @@ mod tests {
         // as part of *its* freed list.
         let report = k.terminate(child).unwrap();
         assert!(report.bytes_scrubbed >= 2 * 4096);
-        k.read_physical_bytes(pa, &mut buf).unwrap();
+        buf = read(&k, pa, buf.len());
         assert_eq!(buf, vec![0u8; 16]);
     }
 

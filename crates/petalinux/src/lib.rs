@@ -38,6 +38,7 @@
 pub mod config;
 pub mod error;
 pub mod kernel;
+pub mod phys;
 pub mod process;
 pub mod procfs;
 pub mod shell;
@@ -46,6 +47,7 @@ pub mod user;
 pub use config::{BoardConfig, IsolationPolicy};
 pub use error::KernelError;
 pub use kernel::Kernel;
+pub use phys::{PhysBytes, PhysRead};
 pub use process::{Pid, Process, ProcessState};
 pub use shell::Shell;
 pub use user::UserId;

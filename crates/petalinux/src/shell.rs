@@ -6,11 +6,12 @@
 //! policy cross-user `/proc` reads and non-root `devmem` fail with
 //! [`KernelError::PermissionDenied`].
 
-use zynq_dram::{PhysAddr, ScrapeView};
+use zynq_dram::PhysAddr;
 use zynq_mmu::VirtAddr;
 
 use crate::error::KernelError;
 use crate::kernel::Kernel;
+use crate::phys::{PhysBytes, PhysRead};
 use crate::process::Pid;
 use crate::procfs;
 use crate::user::UserId;
@@ -128,81 +129,21 @@ impl Shell {
         kernel.read_physical_u32(addr)
     }
 
-    /// Reads `len` bytes of physical memory (the automated form of looping
-    /// `devmem` over a range, which is what the paper's scripts do).
+    /// Reads a range of physical memory (the automated form of looping
+    /// `devmem` over a range, which is what the paper's scripts do).  The
+    /// bytes come back as [`Kernel::read_physical`] returns them.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Shell::devmem`].
-    pub fn devmem_read_bytes(
-        &self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        self.check_devmem(kernel)?;
-        let mut buf = vec![0u8; len];
-        kernel.read_physical_bytes(addr, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// The bank-striped form of [`Shell::devmem_read_bytes`]: several
-    /// `devmem` loops running concurrently, one per stripe-aligned slice of
-    /// the range.  Same permission check, byte-identical result.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shell::devmem_read_bytes`], plus a rejection of
-    /// zero-sized worker pools.
-    pub fn devmem_read_bytes_banked(
-        &self,
-        kernel: &Kernel,
-        addr: PhysAddr,
-        len: usize,
-        workers: usize,
-    ) -> Result<Vec<u8>, KernelError> {
-        self.check_devmem(kernel)?;
-        let mut buf = vec![0u8; len];
-        kernel.read_physical_bytes_parallel(addr, &mut buf, workers)?;
-        Ok(buf)
-    }
-
-    /// The zero-copy form of [`Shell::devmem_read_bytes`]: borrows the range
-    /// straight out of the DRAM bank arenas instead of copying it.  Same
-    /// permission check; `Ok(None)` when the remanence model forces an owned
-    /// read (callers then fall back to the copying form).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shell::devmem_read_bytes`].
-    pub fn devmem_read_view<'k>(
+    /// Same conditions as [`Shell::devmem`], plus a rejection of zero-sized
+    /// worker pools.
+    pub fn devmem_read<'k>(
         &self,
         kernel: &'k Kernel,
-        addr: PhysAddr,
-        len: u64,
-    ) -> Result<Option<ScrapeView<'k>>, KernelError> {
+        request: PhysRead,
+    ) -> Result<PhysBytes<'k>, KernelError> {
         self.check_devmem(kernel)?;
-        kernel.read_physical_view(addr, len)
-    }
-
-    /// The multi-snapshot form of [`Shell::devmem_read_bytes`]: re-runs the
-    /// same `devmem` loop `snapshots` times with one decay tick between runs
-    /// ([`Kernel::read_physical_snapshots`]).  Same permission check, applied
-    /// once for the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shell::devmem_read_bytes`], plus a rejection of
-    /// zero snapshot counts.
-    pub fn devmem_read_snapshots(
-        &self,
-        kernel: &mut Kernel,
-        addr: PhysAddr,
-        len: usize,
-        snapshots: usize,
-    ) -> Result<Vec<Vec<u8>>, KernelError> {
-        self.check_devmem(kernel)?;
-        kernel.read_physical_snapshots(addr, len, snapshots)
+        kernel.read_physical(request)
     }
 }
 
@@ -250,8 +191,10 @@ mod tests {
             .unwrap();
         let word = attacker.devmem(&kernel, pa).unwrap();
         assert_eq!(word.to_le_bytes(), *b"resn");
-        let bytes = attacker.devmem_read_bytes(&kernel, pa, 11).unwrap();
-        assert_eq!(&bytes, b"resnet50_pt");
+        let bytes = attacker
+            .devmem_read(&kernel, PhysRead::new(pa, 11))
+            .unwrap();
+        assert_eq!(&bytes.into_vec(), b"resnet50_pt");
     }
 
     #[test]
@@ -275,7 +218,7 @@ mod tests {
             Err(KernelError::PermissionDenied { .. })
         ));
         assert!(matches!(
-            attacker.devmem_read_bytes(&kernel, kernel.config().dram().base(), 4),
+            attacker.devmem_read(&kernel, PhysRead::new(kernel.config().dram().base(), 4)),
             Err(KernelError::PermissionDenied { .. })
         ));
 

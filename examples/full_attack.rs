@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("devmem {addr} -> {word:#010x}");
     }
 
-    let outcome = pipeline.execute(&mut debugger, &kernel, &observation)?;
+    let outcome = pipeline.execute(&mut debugger, &mut kernel, &observation)?;
 
     println!("\n== step 4.a: grep for the model name in the hexdump (Figure 11) ==");
     // Re-scrape just to render the evidence lines (the pipeline already did

@@ -100,7 +100,7 @@ fn pipeline_cell(out: &mut String, board: BoardConfig, mode: ScrapeMode) {
     let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
     victim.terminate(&mut kernel).unwrap();
     let outcome = pipeline
-        .execute_mut(&mut debugger, &mut kernel, &observation)
+        .execute(&mut debugger, &mut kernel, &observation)
         .unwrap();
     render_audit(out, debugger.audit());
     render_outcome(out, &outcome);
@@ -193,7 +193,7 @@ fn confined_denials() -> String {
         let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
         victim.terminate(&mut kernel).unwrap();
         let error = pipeline
-            .execute_mut(&mut debugger, &mut kernel, &observation)
+            .execute(&mut debugger, &mut kernel, &observation)
             .unwrap_err();
         assert_eq!(debugger.audit().denied_count(), 1, "{mode}");
         writeln!(out, "== confined mode={mode}").unwrap();

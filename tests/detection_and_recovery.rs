@@ -2,7 +2,7 @@
 //! weight-fingerprint identification, exercised over real attack sessions.
 
 use fpga_msa::debugger::DebugSession;
-use fpga_msa::msa::analysis::weights::{identify_model_by_weights, match_weights};
+use fpga_msa::msa::analysis::weights::{identify_model_by_weights, match_weights_view};
 use fpga_msa::msa::attack::{AttackConfig, AttackPipeline};
 use fpga_msa::msa::detect::{DetectorConfig, ScrapingDetector, Severity};
 use fpga_msa::petalinux::{BoardConfig, IsolationPolicy, Kernel, UserId};
@@ -27,7 +27,7 @@ fn detector_flags_the_attack_and_ignores_the_victim_itself() {
     let observation = pipeline.poll_and_observe(&mut attacker, &kernel).unwrap();
     victim.terminate(&mut kernel).unwrap();
     pipeline
-        .execute(&mut attacker, &kernel, &observation)
+        .execute(&mut attacker, &mut kernel, &observation)
         .unwrap();
 
     let detector = ScrapingDetector::new(DetectorConfig::default());
@@ -77,13 +77,16 @@ fn weight_fingerprinting_agrees_with_string_identification_on_real_dumps() {
             .scrape_after_termination(&mut debugger, &kernel, &observation)
             .unwrap();
 
-        let by_strings = pipeline.analyze(&dump).identified.map(|m| m.model);
+        let by_strings = pipeline
+            .analyze(&dump.as_view())
+            .identified
+            .map(|m| m.model);
         let by_weights = identify_model_by_weights(&dump).map(|m| m.model);
         assert_eq!(by_strings, Some(model));
         assert_eq!(by_weights, Some(model));
 
         // The weight match locates the blob where the profiler would.
-        let matched = match_weights(&dump)
+        let matched = match_weights_view(&dump.as_view())
             .into_iter()
             .find(|m| m.model == model)
             .unwrap();

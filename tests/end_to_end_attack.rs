@@ -5,6 +5,7 @@
 #![allow(clippy::cast_possible_truncation)]
 
 use fpga_msa::debugger::DebugSession;
+use fpga_msa::dram::SanitizePolicy;
 use fpga_msa::msa::attack::{AttackConfig, AttackPipeline, ScrapeMode};
 use fpga_msa::msa::profile::Profiler;
 use fpga_msa::msa::scenario::AttackScenario;
@@ -119,7 +120,7 @@ fn attack_steps_compose_manually_across_crates() {
 
     victim.terminate(&mut kernel).expect("victim terminates");
     let outcome = pipeline
-        .execute(&mut debugger, &kernel, &observation)
+        .execute(&mut debugger, &mut kernel, &observation)
         .expect("attack completes");
 
     assert_eq!(outcome.identified_model(), Some(ModelKind::DenseNet161));
@@ -159,4 +160,41 @@ fn weights_are_present_in_the_scraped_dump() {
         .slice(weights_offset, expected.len())
         .expect("dump covers the weight blob");
     assert_eq!(recovered, &expected[..], "weight blob mismatch");
+}
+
+#[test]
+fn pipeline_drains_the_swap_channel_like_the_campaign_path() {
+    // Zero-on-free erases the victim's DRAM residue; only its pages in the
+    // compressed swap store survive.  The step-by-step pipeline must recover
+    // exactly what a campaign scenario recovers on the same board.
+    let board = BoardConfig::tiny_for_tests()
+        .with_swap(50)
+        .with_sanitize_policy(SanitizePolicy::ZeroOnFree);
+    let scenario = AttackScenario::new(board, ModelKind::Resnet50Pt)
+        .with_corrupted_input()
+        .with_offline_profiling(false)
+        .execute()
+        .expect("scenario completes");
+
+    let mut kernel = Kernel::boot(board);
+    let input = Image::corrupted(224, 224);
+    let victim = DpuRunner::new(ModelKind::Resnet50Pt)
+        .with_input(input.clone())
+        .launch(&mut kernel, UserId::new(0))
+        .expect("victim launches");
+    let pipeline = AttackPipeline::new(AttackConfig::default());
+    let mut debugger = DebugSession::connect(UserId::new(1));
+    let observation = pipeline
+        .poll_and_observe(&mut debugger, &kernel)
+        .expect("victim observed");
+    victim.terminate(&mut kernel).expect("victim terminates");
+    let outcome = pipeline
+        .execute(&mut debugger, &mut kernel, &observation)
+        .expect("attack completes");
+
+    assert_eq!(outcome.identified_model(), Some(ModelKind::Resnet50Pt));
+    assert_eq!(outcome.identified_model(), scenario.identified_model());
+    let recovered = outcome.image_recovery_rate(&input);
+    assert!(recovered > 0.4, "{recovered}");
+    assert_eq!(recovered, scenario.pixel_recovery_rate());
 }

@@ -58,7 +58,7 @@ fn profile_learned_on_a_separate_board_instance_transfers_to_the_victim() {
     let observation = pipeline.poll_and_observe(&mut debugger, &kernel).unwrap();
     victim.terminate(&mut kernel).unwrap();
     let outcome = pipeline
-        .execute(&mut debugger, &kernel, &observation)
+        .execute(&mut debugger, &mut kernel, &observation)
         .unwrap();
 
     assert_eq!(outcome.identified_model(), Some(ModelKind::Resnet50Pt));

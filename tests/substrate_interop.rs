@@ -3,7 +3,7 @@
 use fpga_msa::debugger::DebugSession;
 use fpga_msa::dram::{SanitizePolicy, PAGE_SIZE};
 use fpga_msa::petalinux::procfs;
-use fpga_msa::petalinux::{BoardConfig, Kernel, Shell, UserId};
+use fpga_msa::petalinux::{BoardConfig, Kernel, PhysRead, Shell, UserId};
 use fpga_msa::vitis::{DpuRunner, Image, ModelKind};
 
 #[test]
@@ -36,7 +36,10 @@ fn procfs_views_agree_with_debugger_views() {
     for (i, entry) in entries.iter().enumerate().step_by(7) {
         let va = heap_start + (i as u64) * PAGE_SIZE;
         let pa = entry.frame_number().unwrap().base_address();
-        let phys = debugger.read_phys_range(&kernel, pa, 64).unwrap();
+        let phys = debugger
+            .read_phys(&kernel, PhysRead::new(pa, 64))
+            .unwrap()
+            .into_vec();
         let mut virt = vec![0u8; 64];
         kernel
             .read_process_memory(run.pid(), va, &mut virt)
