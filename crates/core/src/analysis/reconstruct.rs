@@ -58,14 +58,23 @@ const MAX_REPAIR_PASSES: usize = 4;
 /// The result has the length of the longest snapshot; shorter snapshots
 /// contribute zeros past their end.  An empty slice fuses to an empty vector.
 pub fn fuse_snapshots(snapshots: &[Vec<u8>]) -> Vec<u8> {
-    let len = snapshots.iter().map(Vec::len).max().unwrap_or(0);
-    let mut fused = vec![0u8; len];
+    let mut fused = Vec::new();
     for snapshot in snapshots {
-        for (acc, byte) in fused.iter_mut().zip(snapshot) {
-            *acc |= byte;
-        }
+        fuse_into(&mut fused, snapshot);
     }
     fused
+}
+
+/// OR-fuses one more snapshot into `fused` in place, zero-extending `fused`
+/// to the snapshot's length: the step [`fuse_snapshots`] folds, for readers
+/// that fuse each snapshot as it arrives instead of holding them all.
+pub(crate) fn fuse_into(fused: &mut Vec<u8>, snapshot: &[u8]) {
+    if fused.len() < snapshot.len() {
+        fused.resize(snapshot.len(), 0);
+    }
+    for (acc, byte) in fused.iter_mut().zip(snapshot) {
+        *acc |= byte;
+    }
 }
 
 /// Per-bit majority vote across N snapshots: a bit is set in the result when

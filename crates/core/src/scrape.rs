@@ -1,13 +1,13 @@
 //! Step 3: extract data from physical addresses after victim termination.
 //!
-//! One function, [`ScrapePlan::new`], turns a captured [`HeapTranslation`]
+//! One function, `ScrapePlan::new`, turns a captured [`HeapTranslation`]
 //! and a [`ScrapeMode`] into the physical segments a scrape reads or
 //! zero-fills, in virtual order (the `translated_byte_buffer` idiom).  The
 //! zero-length, empty-translation, window-end clamp, gap-page and coverage
 //! rules live there and nowhere else.  The scrapers only differ in how they
 //! take the reads:
 //!
-//! - [`ScrapePlan::read`] takes them in one pass, borrowed where the kernel
+//! - `ScrapePlan::read` takes them in one pass, borrowed where the kernel
 //!   lends the bytes ([`scrape_heap`] and [`scrape_heap_view`] wrap it);
 //! - `ScrapePlan::read_owned` copies them, ticking the kernel between
 //!   multi-snapshot passes and running a hook between heap pages (the
@@ -23,7 +23,7 @@ use xsdb::DebugSession;
 use zynq_dram::{PhysAddr, ScrapeView, PAGE_SIZE};
 use zynq_mmu::VirtAddr;
 
-use crate::analysis::reconstruct::fuse_snapshots;
+use crate::analysis::reconstruct::fuse_into;
 use crate::attack::ScrapeMode;
 use crate::dump::{HeapView, MemoryDump};
 use crate::error::AttackError;
@@ -137,7 +137,7 @@ impl Segment {
 /// The physical reads one heap scrape takes: the segments to read or
 /// zero-fill, in virtual order, and the physical source of each heap page.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScrapePlan {
+pub(crate) struct ScrapePlan {
     heap_start: VirtAddr,
     segments: Vec<Segment>,
     page_sources: Vec<Option<PhysAddr>>,
@@ -161,7 +161,7 @@ impl ScrapePlan {
     /// Rejects invalid modes ([`ScrapeMode::validate`]), and returns
     /// [`AttackError::TranslationEmpty`] when the mode finds no page to start
     /// from.
-    pub fn new(
+    pub(crate) fn new(
         kernel: &Kernel,
         translation: &HeapTranslation,
         mode: ScrapeMode,
@@ -220,7 +220,7 @@ impl ScrapePlan {
     ///
     /// Propagates the first failed read; the reads before it stay in the
     /// audit trail.
-    pub fn read<'k>(
+    pub(crate) fn read<'k>(
         &self,
         debugger: &mut DebugSession,
         kernel: &'k Kernel,
@@ -229,9 +229,10 @@ impl ScrapePlan {
     }
 
     /// Reads the plan `snapshots` times into an owned dump, ticking the
-    /// kernel once between passes, and OR-fuses the passes
-    /// ([`fuse_snapshots`]): Pentimento's accumulate-across-reads attacker.
-    /// One snapshot is a plain owned read.
+    /// kernel once between passes, and OR-fuses each pass into the first as
+    /// it arrives (Pentimento's accumulate-across-reads attacker; see
+    /// [`crate::analysis::reconstruct::fuse_snapshots`]).  One snapshot is a
+    /// plain owned read.
     ///
     /// With `between_pages`, the first pass reads page by page and runs the
     /// hook before each heap page, so the kernel can change under the scrape.
@@ -244,25 +245,18 @@ impl ScrapePlan {
         debugger: &mut DebugSession,
         kernel: &mut Kernel,
         snapshots: usize,
-        mut between_pages: Option<&mut PageHook<'_>>,
+        between_pages: Option<&mut PageHook<'_>>,
     ) -> Result<MemoryDump, AttackError> {
-        let mut reads = Vec::with_capacity(snapshots);
-        for snapshot in 0..snapshots {
-            if snapshot > 0 {
-                kernel.tick(1);
-            }
-            let bytes = match between_pages.as_deref_mut() {
-                Some(hook) if snapshot == 0 => self.read_paged(debugger, kernel, hook)?,
-                _ => self.read(debugger, kernel)?.into_vec(),
-            };
-            reads.push(bytes);
-        }
-        let bytes = if reads.len() > 1 {
-            fuse_snapshots(&reads)
-        } else {
-            reads.pop().unwrap_or_default()
+        let mut fused = match between_pages {
+            Some(hook) => self.read_paged(debugger, kernel, hook)?,
+            None => self.read(debugger, kernel)?.into_vec(),
         };
-        Ok(self.dump(bytes))
+        for _ in 1..snapshots {
+            kernel.tick(1);
+            let snapshot = self.read(debugger, kernel)?.into_vec();
+            fuse_into(&mut fused, &snapshot);
+        }
+        Ok(self.dump(fused))
     }
 
     /// One owned pass, page by page, with `between_pages` run before each
@@ -273,7 +267,7 @@ impl ScrapePlan {
         kernel: &mut Kernel,
         between_pages: &mut PageHook<'_>,
     ) -> Result<Vec<u8>, AttackError> {
-        let mut bytes = Vec::new();
+        let mut bytes = Vec::with_capacity(self.segments.iter().map(|s| s.len()).sum());
         for (index, page) in self.pages().iter().enumerate() {
             between_pages(kernel, index)?;
             bytes.extend_from_slice(&read_segments(debugger, kernel, page)?.into_vec());
@@ -305,12 +299,12 @@ impl ScrapePlan {
     }
 
     /// Wraps bytes read under this plan as an owned dump.
-    pub fn dump(&self, bytes: Vec<u8>) -> MemoryDump {
+    pub(crate) fn dump(&self, bytes: Vec<u8>) -> MemoryDump {
         MemoryDump::from_sources(self.heap_start, bytes, self.page_sources.clone())
     }
 
     /// Wraps a borrowed view read under this plan as a heap view.
-    pub fn heap_view<'k>(&self, view: ScrapeView<'k>) -> HeapView<'k> {
+    pub(crate) fn heap_view<'k>(&self, view: ScrapeView<'k>) -> HeapView<'k> {
         let captured = self.page_sources.iter().flatten().count();
         HeapView::new(self.heap_start, view, captured, self.page_sources.len())
     }
