@@ -90,9 +90,8 @@ impl ScrapeMode {
     ///
     /// # Errors
     ///
-    /// Returns the same typed error the corresponding DRAM operation
-    /// produces ([`zynq_dram::DramError::ZeroWorkers`] /
-    /// [`zynq_dram::DramError::ZeroSnapshots`] wrapped as a channel error).
+    /// Returns [`zynq_dram::DramError::ZeroWorkers`] /
+    /// [`zynq_dram::DramError::ZeroSnapshots`] wrapped as a channel error.
     pub fn validate(self) -> Result<(), crate::error::AttackError> {
         if matches!(self, ScrapeMode::BankStriped { workers: 0 }) {
             return Err(crate::error::AttackError::Channel(
