@@ -17,11 +17,9 @@
 //!
 //! and diffs the text against `tests/golden/audit_trail.txt`.
 //!
-//! To regenerate after an intentional change:
-//!
-//! ```text
-//! UPDATE_GOLDEN=1 cargo test --test audit_trail_golden
-//! ```
+//! On a mismatch the test writes the full rendering next to the build's
+//! integration-test scratch files and names the path; after an intentional
+//! change, review the diff and copy that file over the golden.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -207,21 +205,20 @@ fn confined_denials() -> String {
 fn audit_trails_match_the_golden() {
     let actual = [pipeline_matrix(), live_traffic_matrix(), confined_denials()].concat();
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/audit_trail.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden, &actual).unwrap();
-        return;
-    }
     let expected = std::fs::read_to_string(&golden).expect("golden file is committed");
     if actual != expected {
+        let rendered = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit_trail.txt");
+        std::fs::write(&rendered, &actual).unwrap();
         let first = actual
             .lines()
             .zip(expected.lines())
             .position(|(a, e)| a != e)
             .unwrap_or_else(|| actual.lines().count().min(expected.lines().count()));
         panic!(
-            "audit trail diverges from {} at line {}:\n  actual:   {:?}\n  expected: {:?}",
+            "audit trail diverges from {} at line {} (full output in {}):\n  actual:   {:?}\n  expected: {:?}",
             golden.display(),
             first + 1,
+            rendered.display(),
             actual.lines().nth(first),
             expected.lines().nth(first)
         );
