@@ -64,6 +64,8 @@ pub mod report;
 pub mod scenario;
 pub mod scrape;
 pub mod signature;
+#[cfg(test)]
+mod testing;
 pub mod translate;
 
 pub use attack::{AttackConfig, AttackPipeline, ScrapeMode};

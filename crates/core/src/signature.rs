@@ -4,15 +4,20 @@
 //! publicly available Vitis AI library offline and therefore knows what byte
 //! patterns each model leaves in memory — most usefully its name and library
 //! path fragments.  [`SignatureDb`] holds those patterns;
-//! [`SignatureDb::match_view`] scores scraped bytes against every model.
+//! [`SignatureDb::match_view`] scores scraped bytes against every model in
+//! one pass of an Aho–Corasick automaton built with the database.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
+mod automaton;
+
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::ScrapeView;
+
+use automaton::Automaton;
 
 /// Signature of one model: byte patterns whose presence indicates the model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -60,9 +65,43 @@ impl ModelMatch {
 /// let db = SignatureDb::standard();
 /// assert!(db.signature(ModelKind::Resnet50Pt).is_some());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Equality and the serialised form cover the signatures alone: the
+/// automaton is derived from them, and deserialising rebuilds it through
+/// [`SignatureDb::from_signatures`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(from = "SignatureList", into = "SignatureList")]
 pub struct SignatureDb {
     signatures: Vec<ModelSignature>,
+    automaton: Automaton,
+}
+
+impl PartialEq for SignatureDb {
+    fn eq(&self, other: &Self) -> bool {
+        self.signatures == other.signatures
+    }
+}
+
+impl Eq for SignatureDb {}
+
+/// The serialised form of a [`SignatureDb`].
+#[derive(Clone, Serialize, Deserialize)]
+struct SignatureList {
+    signatures: Vec<ModelSignature>,
+}
+
+impl From<SignatureList> for SignatureDb {
+    fn from(list: SignatureList) -> Self {
+        SignatureDb::from_signatures(list.signatures)
+    }
+}
+
+impl From<SignatureDb> for SignatureList {
+    fn from(db: SignatureDb) -> Self {
+        SignatureList {
+            signatures: db.signatures,
+        }
+    }
 }
 
 impl SignatureDb {
@@ -81,12 +120,20 @@ impl SignatureDb {
                 ],
             })
             .collect();
-        SignatureDb { signatures }
+        SignatureDb::from_signatures(signatures)
     }
 
     /// Builds a database from explicit signatures.
     pub fn from_signatures(signatures: Vec<ModelSignature>) -> Self {
-        SignatureDb { signatures }
+        let automaton = Automaton::new(
+            signatures
+                .iter()
+                .flat_map(|sig| sig.patterns.iter().map(String::as_bytes)),
+        );
+        SignatureDb {
+            signatures,
+            automaton,
+        }
     }
 
     /// All signatures.
@@ -100,19 +147,21 @@ impl SignatureDb {
     }
 
     /// Scores scraped bytes against every signature, most-confident first.
-    /// The patterns are searched segment-wise without materializing the
-    /// view.
+    /// One pass over the view's segments finds every pattern of every
+    /// signature, without materializing the view.
     ///
     /// Only models with at least one hit are returned.
     pub fn match_view(&self, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
+        let found = self.automaton.found(view);
+        let mut found = found.iter();
         let mut matches: Vec<ModelMatch> = self
             .signatures
             .iter()
             .map(|sig| {
-                let hits = sig
-                    .patterns
-                    .iter()
-                    .filter(|pattern| view.contains_seq(pattern.as_bytes()))
+                let hits = found
+                    .by_ref()
+                    .take(sig.patterns.len())
+                    .filter(|&&hit| hit)
                     .count();
                 ModelMatch {
                     model: sig.model,
@@ -148,11 +197,121 @@ impl Default for SignatureDb {
 mod tests {
     use super::*;
     use crate::dump::MemoryDump;
+    use crate::testing::segmented_view;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
 
     fn dump_with(content: &[u8]) -> MemoryDump {
         MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), content.to_vec())
+    }
+
+    /// The per-pattern search the automaton replaced: one
+    /// [`ScrapeView::find`] per pattern, then the same ranking.
+    fn per_pattern_oracle(db: &SignatureDb, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
+        let mut matches: Vec<ModelMatch> = db
+            .signatures()
+            .iter()
+            .map(|sig| ModelMatch {
+                model: sig.model,
+                hits: sig
+                    .patterns
+                    .iter()
+                    .filter(|pattern| view.find(pattern.as_bytes()).is_some())
+                    .count(),
+                total_patterns: sig.patterns.len(),
+                fuzzy_distance: None,
+            })
+            .filter(|m| m.hits > 0)
+            .collect();
+        matches.sort_by(|a, b| {
+            b.confidence()
+                .partial_cmp(&a.confidence())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| b.hits.cmp(&a.hits))
+        });
+        matches
+    }
+
+    /// Bytes of the random views and patterns: a small alphabet, so that
+    /// patterns recur, nest and overlap, and zero, so that patterns can run
+    /// into `push_zeros` gaps.
+    const ALPHABET: [u8; 4] = [b'a', b'b', b'c', 0];
+
+    proptest! {
+        #[test]
+        fn automaton_matches_the_per_pattern_oracle(
+            unit_shift in 2u32..7,
+            head in 0usize..70,
+            filler in vec(0usize..4, 0..300),
+            gaps in vec(0u8..6, 0..80),
+            raw_patterns in vec(vec(0usize..4, 0..10), 1..8),
+            cuts in vec(any::<usize>(), 3),
+            sig_sizes in vec(0usize..5, 1..7),
+            picks in vec(any::<usize>(), 24),
+            plants in vec(any::<usize>(), 0..6),
+        ) {
+            let unit = 1usize << unit_shift;
+            let mut data: Vec<u8> = filler.iter().map(|&i| ALPHABET[i]).collect();
+
+            // The pool holds the random patterns, a suffix and a prefix of
+            // each (nested and suffix-overlapping), and slices of the data
+            // that span several units; one is longer than the whole view.
+            let mut pool: Vec<Vec<u8>> = Vec::new();
+            for raw in &raw_patterns {
+                let pattern: Vec<u8> = raw.iter().map(|&i| ALPHABET[i]).collect();
+                if pattern.len() >= 2 {
+                    pool.push(pattern[1..].to_vec());
+                    pool.push(pattern[..pattern.len() - 1].to_vec());
+                }
+                pool.push(pattern);
+            }
+            for &cut in &cuts {
+                let start = cut % (data.len() + 1);
+                let len = (cut >> 20) % (3 * unit + 2);
+                pool.push(data[start..(start + len).min(data.len())].to_vec());
+            }
+            let mut longer_than_view = data.clone();
+            longer_than_view.push(b'a');
+            pool.push(longer_than_view);
+
+            // Plant pool patterns so they straddle a unit seam.
+            for &plant in &plants {
+                let needle = pool[plant % pool.len()].clone();
+                if needle.is_empty() || data.is_empty() {
+                    continue;
+                }
+                let seam = head + unit * ((plant >> 16) % (data.len() / unit + 1));
+                let start = seam.saturating_sub((plant >> 24) % needle.len()).min(data.len());
+                let end = (start + needle.len()).min(data.len());
+                data[start..end].copy_from_slice(&needle[..end - start]);
+            }
+
+            // Signatures draw from the pool with replacement, so duplicate
+            // patterns occur within and across signatures.
+            let mut picks = picks.iter().cycle();
+            let signatures = sig_sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &size)| ModelSignature {
+                    model: ModelKind::all()[i % ModelKind::all().len()],
+                    patterns: picks
+                        .by_ref()
+                        .take(size)
+                        .map(|&pick| {
+                            String::from_utf8(pool[pick % pool.len()].clone())
+                                .expect("the alphabet is ASCII")
+                        })
+                        .collect(),
+                })
+                .collect();
+            let db = SignatureDb::from_signatures(signatures);
+
+            let gaps: Vec<bool> = gaps.iter().map(|&g| g == 0).collect();
+            let view = segmented_view(&data, head, unit, &gaps);
+            prop_assert_eq!(db.match_view(&view), per_pattern_oracle(&db, &view));
+        }
     }
 
     #[test]

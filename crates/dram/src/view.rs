@@ -282,7 +282,7 @@ impl<'a> ScrapeView<'a> {
             // A needle longer than a whole middle segment could span three
             // segments, which the two-segment bridge below cannot order
             // correctly — fall back to an owned search (needles that long do
-            // not occur on the hot signature/probe paths).
+            // not occur on the weights probe's hot path).
             let owned = self.to_vec();
             return owned.windows(n).position(|w| w == needle);
         }
@@ -326,11 +326,6 @@ impl<'a> ScrapeView<'a> {
             position += segment.len();
         }
         None
-    }
-
-    /// `true` when `needle` occurs anywhere in the view.
-    pub fn contains_seq(&self, needle: &[u8]) -> bool {
-        self.find(needle).is_some()
     }
 }
 
@@ -415,7 +410,6 @@ mod tests {
         for needle in [&b"NEEDLE-A"[..], b"NEEDLE-B", b"EDLE", b"absent!"] {
             let expected = data.windows(needle.len()).position(|w| w == needle);
             assert_eq!(view.find(needle), expected, "needle {needle:?}");
-            assert_eq!(view.contains_seq(needle), expected.is_some());
         }
         // First-match order: duplicate needle, earliest offset wins.
         let first = data.windows(4).position(|w| w == &data[60..64]).unwrap();
