@@ -78,33 +78,63 @@ pub fn marker_runs_view(view: &ScrapeView<'_>, marker: u32, min_len: u64) -> Vec
 
 /// Maximal runs of the repeated byte `value`, at least `min_len` bytes long,
 /// scanned segment-by-segment (runs may straddle segment boundaries).
+///
+/// Inside each segment the scan jumps from one run boundary to the next: the
+/// first `value` byte outside a run, the first other byte inside one.
 fn uniform_byte_runs(view: &ScrapeView<'_>, value: u8, min_len: u64) -> Vec<MarkerRun> {
     let mut runs = Vec::new();
     let mut run_start: Option<usize> = None;
-    let mut pos = 0usize;
-    let flush = |start: usize, end: usize, runs: &mut Vec<MarkerRun>| {
-        let run_len = (end - start) as u64;
-        if run_len >= min_len {
-            runs.push(MarkerRun {
-                offset: start as u64,
-                len: run_len,
-            });
-        }
-    };
+    let mut segment_start = 0usize;
     for segment in view.segments() {
-        for &byte in segment {
-            if byte == value {
-                run_start.get_or_insert(pos);
-            } else if let Some(start) = run_start.take() {
-                flush(start, pos, &mut runs);
+        let mut i = 0usize;
+        while let Some(step) = next_boundary(&segment[i..], value, run_start.is_none()) {
+            i += step;
+            let pos = segment_start + i;
+            match run_start.take() {
+                Some(start) => push_run(&mut runs, start, pos, min_len),
+                None => run_start = Some(pos),
             }
-            pos += 1;
         }
+        segment_start += segment.len();
     }
     if let Some(start) = run_start {
-        flush(start, pos, &mut runs);
+        push_run(&mut runs, start, segment_start, min_len);
     }
     runs
+}
+
+/// Index of the first byte of `bytes` that equals `value` (`equal`) or
+/// differs from it (`!equal`).  Whole blocks are tested without a branch per
+/// byte, which the compiler vectorises; only the block holding the boundary
+/// is searched byte by byte.
+fn next_boundary(bytes: &[u8], value: u8, equal: bool) -> Option<usize> {
+    const BLOCK: usize = 32;
+    let is_boundary = |byte: u8| (byte == value) == equal;
+    let mut skipped = 0usize;
+    for block in bytes.chunks_exact(BLOCK) {
+        if block
+            .iter()
+            .fold(false, |hit, &byte| hit | is_boundary(byte))
+        {
+            break;
+        }
+        skipped += BLOCK;
+    }
+    bytes[skipped..]
+        .iter()
+        .position(|&byte| is_boundary(byte))
+        .map(|i| skipped + i)
+}
+
+/// Records the run `[start, end)` when it is at least `min_len` bytes long.
+fn push_run(runs: &mut Vec<MarkerRun>, start: usize, end: usize, min_len: u64) {
+    let len = (end - start) as u64;
+    if len >= min_len {
+        runs.push(MarkerRun {
+            offset: start as u64,
+            len,
+        });
+    }
 }
 
 /// The first marker run of at least `min_len` bytes, if any.
@@ -128,8 +158,60 @@ pub fn marker_bytes(dump: &MemoryDump, marker: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::segmented_view;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use zynq_dram::PhysAddr;
     use zynq_mmu::VirtAddr;
+
+    /// The byte-at-a-time scan that [`uniform_byte_runs`] replaced.
+    fn bytewise_runs(view: &ScrapeView<'_>, value: u8, min_len: u64) -> Vec<MarkerRun> {
+        let mut runs = Vec::new();
+        let mut run_start: Option<usize> = None;
+        let mut pos = 0usize;
+        for segment in view.segments() {
+            for &byte in segment {
+                if byte == value {
+                    run_start.get_or_insert(pos);
+                } else if let Some(start) = run_start.take() {
+                    push_run(&mut runs, start, pos, min_len);
+                }
+                pos += 1;
+            }
+        }
+        if let Some(start) = run_start {
+            push_run(&mut runs, start, pos, min_len);
+        }
+        runs
+    }
+
+    proptest! {
+        #[test]
+        fn run_scan_matches_the_bytewise_reference(
+            unit_shift in 2u32..10,
+            head in 0usize..40,
+            symbols in vec(0usize..3, 0..32),
+            lens in vec(1usize..100, 32),
+            gaps in vec(0u8..5, 0..64),
+            zero_marker in any::<bool>(),
+            min_len in 1u64..12,
+        ) {
+            // Runs of a marker byte, zeros and another byte; gaps add zero
+            // runs at chunk seams, which are runs when the marker is zero.
+            let value = if zero_marker { 0 } else { 0xFF };
+            let data: Vec<u8> = symbols
+                .iter()
+                .zip(&lens)
+                .flat_map(|(&symbol, &len)| std::iter::repeat_n([0xFF, 0, 0x12][symbol], len))
+                .collect();
+            let gaps: Vec<bool> = gaps.iter().map(|&g| g == 0).collect();
+            let view = segmented_view(&data, head, 1 << unit_shift, &gaps);
+            prop_assert_eq!(
+                uniform_byte_runs(&view, value, min_len),
+                bytewise_runs(&view, value, min_len)
+            );
+        }
+    }
 
     fn dump_of(bytes: Vec<u8>) -> MemoryDump {
         MemoryDump::from_contiguous(VirtAddr::new(0), PhysAddr::new(0), bytes)
