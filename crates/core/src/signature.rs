@@ -13,6 +13,8 @@
 
 mod automaton;
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 use vitis_ai_sim::ModelKind;
 use zynq_dram::ScrapeView;
@@ -73,7 +75,7 @@ impl ModelMatch {
 #[serde(from = "SignatureList", into = "SignatureList")]
 pub struct SignatureDb {
     signatures: Vec<ModelSignature>,
-    automaton: Automaton,
+    automaton: Arc<Automaton>,
 }
 
 impl PartialEq for SignatureDb {
@@ -108,28 +110,36 @@ impl SignatureDb {
     /// Builds the standard database covering the whole model zoo, using the
     /// patterns an attacker learns from the public library: the model name,
     /// its install path and its framework export path.
+    ///
+    /// Every attack pipeline starts from this database, so it is built once
+    /// per process and each call returns a copy that shares its automaton.
     pub fn standard() -> Self {
-        let signatures = ModelKind::all()
-            .into_iter()
-            .map(|model| ModelSignature {
-                model,
-                patterns: vec![
-                    model.name().to_string(),
-                    format!("vitis_ai_library/models/{}", model.name()),
-                    format!("torchvision/{}", model.name()),
-                ],
+        static STANDARD: OnceLock<SignatureDb> = OnceLock::new();
+        STANDARD
+            .get_or_init(|| {
+                let signatures = ModelKind::all()
+                    .into_iter()
+                    .map(|model| ModelSignature {
+                        model,
+                        patterns: vec![
+                            model.name().to_string(),
+                            format!("vitis_ai_library/models/{}", model.name()),
+                            format!("torchvision/{}", model.name()),
+                        ],
+                    })
+                    .collect();
+                SignatureDb::from_signatures(signatures)
             })
-            .collect();
-        SignatureDb::from_signatures(signatures)
+            .clone()
     }
 
     /// Builds a database from explicit signatures.
     pub fn from_signatures(signatures: Vec<ModelSignature>) -> Self {
-        let automaton = Automaton::new(
+        let automaton = Arc::new(Automaton::new(
             signatures
                 .iter()
                 .flat_map(|sig| sig.patterns.iter().map(String::as_bytes)),
-        );
+        ));
         SignatureDb {
             signatures,
             automaton,
@@ -152,8 +162,7 @@ impl SignatureDb {
     ///
     /// Only models with at least one hit are returned.
     pub fn match_view(&self, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
-        let found = self.automaton.found(view);
-        let mut found = found.iter();
+        let mut found = self.automaton.found(view).into_iter();
         let mut matches: Vec<ModelMatch> = self
             .signatures
             .iter()
@@ -161,7 +170,7 @@ impl SignatureDb {
                 let hits = found
                     .by_ref()
                     .take(sig.patterns.len())
-                    .filter(|&&hit| hit)
+                    .filter(|&hit| hit)
                     .count();
                 ModelMatch {
                     model: sig.model,

@@ -33,7 +33,6 @@ const MATCH_FLAG: u32 = 1 << 31;
 const NO_EDGE: u32 = u32::MAX;
 
 /// A dense Aho–Corasick DFA over byte classes.
-#[derive(Clone)]
 pub(super) struct Automaton {
     /// Class of each byte value.  Bytes in no pattern share one class.
     classes: [u8; 256],
@@ -97,39 +96,46 @@ impl Automaton {
                 queue.push_back(*edge as usize);
             }
         }
+        let mut fallback = vec![0u32; stride];
         while let Some(state) = queue.pop_front() {
-            let inherited = outputs[fail[state]].clone();
+            let failure = fail[state];
+            let inherited = outputs[failure].clone();
             outputs[state].extend(inherited);
-            for class in 0..stride {
-                let edge = state * stride + class;
-                let fallback = goto[fail[state] * stride + class];
-                if goto[edge] == NO_EDGE {
-                    goto[edge] = fallback;
+            fallback.copy_from_slice(&goto[failure * stride..][..stride]);
+            for (edge, &next) in goto[state * stride..][..stride].iter_mut().zip(&fallback) {
+                if *edge == NO_EDGE {
+                    *edge = next;
                 } else {
-                    let child = goto[edge] as usize;
-                    fail[child] = fallback as usize;
-                    queue.push_back(child);
+                    fail[*edge as usize] = next as usize;
+                    queue.push_back(*edge as usize);
                 }
             }
         }
 
-        let row = |state: u32| -> u32 {
-            let offset = (state as usize)
-                .checked_mul(stride)
-                .and_then(|offset| u32::try_from(offset).ok())
-                .filter(|&offset| offset < MATCH_FLAG)
-                .expect("signature automaton table fits 2^31 entries");
-            if outputs[state as usize].is_empty() {
-                offset
-            } else {
-                offset | MATCH_FLAG
-            }
-        };
-        let delta = goto.iter().map(|&state| row(state)).collect();
+        // Turn state indexes into flagged row offsets, in place.
+        let rows: Vec<u32> = outputs
+            .iter()
+            .enumerate()
+            .map(|(state, ends)| {
+                let offset = state
+                    .checked_mul(stride)
+                    .and_then(|offset| u32::try_from(offset).ok())
+                    .filter(|&offset| offset < MATCH_FLAG)
+                    .expect("signature automaton table fits 2^31 entries");
+                if ends.is_empty() {
+                    offset
+                } else {
+                    offset | MATCH_FLAG
+                }
+            })
+            .collect();
+        for edge in &mut goto {
+            *edge = rows[*edge as usize];
+        }
         Automaton {
             classes,
             stride,
-            delta,
+            delta: goto,
             outputs,
             patterns: count,
         }
