@@ -193,8 +193,14 @@ impl CampaignCell {
     /// Builds the [`AttackScenario`] this cell describes, attaching the
     /// campaign-shared profile database.
     pub fn scenario(&self, profiles: ProfileDatabase, base: &AttackConfig) -> AttackScenario {
-        AttackScenario::new(self.board, self.model)
-            .with_input(self.input.materialize(self.model))
+        let scenario = AttackScenario::new(self.board, self.model);
+        // The sample photo is the scenario's default input, built only when
+        // the victim launches; the other kinds are materialized here.
+        let scenario = match self.input {
+            InputKind::SamplePhoto => scenario,
+            input => scenario.with_input(input.materialize(self.model)),
+        };
+        scenario
             .with_attack_config(AttackConfig {
                 scrape_mode: self.scrape_mode,
                 reconstruct: self.reconstruct.unwrap_or(base.reconstruct),

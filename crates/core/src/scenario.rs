@@ -478,7 +478,9 @@ pub enum ScenarioResult {
 pub struct AttackScenario {
     board: BoardConfig,
     model: ModelKind,
-    input: Image,
+    /// The explicit victim input; `None` runs the runner's default sample
+    /// photo, built only when the victim launches.
+    input: Option<Image>,
     victim_user: UserId,
     attacker_user: UserId,
     attack_config: AttackConfig,
@@ -502,11 +504,10 @@ impl AttackScenario {
     /// Creates a scenario for `model` on a board with `board` configuration,
     /// using the sample photo as the victim's input.
     pub fn new(board: BoardConfig, model: ModelKind) -> Self {
-        let (w, h) = model.input_dims();
         AttackScenario {
             board,
             model,
-            input: Image::sample_photo(w, h),
+            input: None,
             victim_user: UserId::new(0),
             attacker_user: UserId::new(1),
             attack_config: AttackConfig::default(),
@@ -520,13 +521,13 @@ impl AttackScenario {
     /// Uses the paper's corrupted (`0xFFFFFF`) image as the victim input.
     pub fn with_corrupted_input(mut self) -> Self {
         let (w, h) = self.model.input_dims();
-        self.input = Image::corrupted(w, h);
+        self.input = Some(Image::corrupted(w, h));
         self
     }
 
     /// Uses an explicit victim input image.
     pub fn with_input(mut self, input: Image) -> Self {
-        self.input = input;
+        self.input = Some(input);
         self
     }
 
@@ -828,9 +829,7 @@ impl<'a> BootedScenario<'a> {
                 let start = (splitmix64(self.scenario.seed) % zoo.len() as u64) as usize;
                 for i in 0..predecessors {
                     let model = zoo[(start + i) % zoo.len()];
-                    let (w, h) = model.input_dims();
                     let run = DpuRunner::new(model)
-                        .with_input(Image::sample_photo(w, h))
                         .launch(&mut self.kernel, self.scenario.victim_user)
                         .map_err(runner_error)?;
                     run.terminate(&mut self.kernel).map_err(runner_error)?;
@@ -972,8 +971,11 @@ impl<'a> BootedScenario<'a> {
     ///
     /// Propagates kernel errors from the launch.
     pub fn launch_victim(&mut self) -> Result<LaunchedRun, AttackError> {
-        DpuRunner::new(self.scenario.model)
-            .with_input(self.scenario.input.clone())
+        let mut runner = DpuRunner::new(self.scenario.model);
+        if let Some(input) = &self.scenario.input {
+            runner = runner.with_input(input.clone());
+        }
+        runner
             .launch(&mut self.kernel, self.scenario.victim_user)
             .map_err(runner_error)
     }
@@ -1217,6 +1219,34 @@ mod tests {
 
         let one_shot = scenario.execute().unwrap();
         assert_eq!(staged.metrics(), one_shot.metrics());
+    }
+
+    #[test]
+    fn default_input_equals_an_explicit_sample_photo() {
+        for (model, schedule) in [
+            (ModelKind::SqueezeNet, VictimSchedule::Single),
+            (
+                ModelKind::Resnet50Pt,
+                VictimSchedule::SequentialTraffic { predecessors: 2 },
+            ),
+        ] {
+            let scenario = AttackScenario::new(BoardConfig::tiny_for_tests(), model)
+                .with_schedule(schedule)
+                .with_seed(11);
+            let (w, h) = model.input_dims();
+            let explicit = scenario.clone().with_input(Image::sample_photo(w, h));
+            let a = scenario.execute().unwrap();
+            let b = explicit.execute().unwrap();
+            assert_eq!(a.metrics(), b.metrics(), "{model}/{schedule}");
+            assert_eq!(a.ground_truth(), b.ground_truth());
+            assert_eq!(a.audit(), b.audit());
+            assert_eq!(a.attack().marker_runs, b.attack().marker_runs);
+            assert_eq!(a.attack().image_offset_used, b.attack().image_offset_used);
+            assert_eq!(
+                a.attack().reconstructed_image,
+                b.attack().reconstructed_image
+            );
+        }
     }
 
     #[test]

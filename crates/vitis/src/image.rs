@@ -61,14 +61,10 @@ impl Image {
 
     /// A solid-colour image.
     pub fn solid(width: u32, height: u32, rgb: [u8; 3]) -> Self {
-        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
-        for _ in 0..(width * height) {
-            pixels.extend_from_slice(&rgb);
-        }
         Image {
             width,
             height,
-            pixels,
+            pixels: rgb.repeat((width * height) as usize),
         }
     }
 
@@ -84,14 +80,35 @@ impl Image {
 
     /// A deterministic synthetic "photo" (smooth gradients plus a block
     /// pattern), standing in for the Xilinx-supplied example image.
+    ///
+    /// Pixel `(x, y)` is `[x * 255 / width, y * 255 / height, b]`, where `b`
+    /// is 20 or 220 by the parity of the 8×8 block holding the pixel.  Red
+    /// depends only on the column and blue only on the column and the block
+    /// row's parity, so every row is a copy of one of two template rows with
+    /// its green channel filled in.
     pub fn sample_photo(width: u32, height: u32) -> Self {
-        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
-        for y in 0..height {
-            for x in 0..width {
-                let r = ((x * 255) / width.max(1)) as u8;
-                let g = ((y * 255) / height.max(1)) as u8;
-                let b = (((x / 8 + y / 8) % 2) * 200 + 20) as u8;
-                pixels.extend_from_slice(&[r, g, b]);
+        let row_len = width as usize * 3;
+        let template = |odd_block_row: bool| -> Vec<u8> {
+            (0..width)
+                .flat_map(|x| {
+                    let odd_block = odd_block_row != ((x / 8) % 2 == 1);
+                    [
+                        ((x * 255) / width) as u8,
+                        0,
+                        if odd_block { 220 } else { 20 },
+                    ]
+                })
+                .collect()
+        };
+        let templates = [template(false), template(true)];
+        let mut pixels = vec![0u8; row_len * height as usize];
+        // A zero-width image has no rows to write; `max(1)` only keeps the
+        // chunk size legal.
+        for (y, row) in (0..height).zip(pixels.chunks_exact_mut(row_len.max(1))) {
+            row.copy_from_slice(&templates[((y / 8) % 2) as usize]);
+            let g = ((y * 255) / height) as u8;
+            for green in row.iter_mut().skip(1).step_by(3) {
+                *green = g;
             }
         }
         Image {
@@ -228,6 +245,64 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The per-pixel `solid` loop the fill replaced, kept as the oracle.
+    fn solid_oracle(width: u32, height: u32, rgb: [u8; 3]) -> Vec<u8> {
+        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
+        for _ in 0..(width * height) {
+            pixels.extend_from_slice(&rgb);
+        }
+        pixels
+    }
+
+    /// The per-pixel `sample_photo` loop the row writer replaced, kept as the
+    /// oracle.
+    fn sample_photo_oracle(width: u32, height: u32) -> Vec<u8> {
+        let mut pixels = Vec::with_capacity((width * height * 3) as usize);
+        for y in 0..height {
+            for x in 0..width {
+                let r = ((x * 255) / width.max(1)) as u8;
+                let g = ((y * 255) / height.max(1)) as u8;
+                let b = (((x / 8 + y / 8) % 2) * 200 + 20) as u8;
+                pixels.extend_from_slice(&[r, g, b]);
+            }
+        }
+        pixels
+    }
+
+    fn assert_constructors_match_oracles(width: u32, height: u32, rgb: [u8; 3]) {
+        let photo = Image::sample_photo(width, height);
+        assert_eq!((photo.width(), photo.height()), (width, height));
+        assert_eq!(
+            photo.as_bytes(),
+            sample_photo_oracle(width, height),
+            "sample_photo {width}x{height}"
+        );
+        let solid = Image::solid(width, height, rgb);
+        assert_eq!((solid.width(), solid.height()), (width, height));
+        assert_eq!(
+            solid.as_bytes(),
+            solid_oracle(width, height, rgb),
+            "solid {width}x{height}"
+        );
+    }
+
+    #[test]
+    fn constructors_match_the_per_pixel_oracles_at_edge_and_model_sizes() {
+        for (w, h) in [
+            (0, 0),
+            (0, 7),
+            (13, 0),
+            (1, 1),
+            (9, 17),
+            (224, 224),
+            (240, 240),
+            (416, 416),
+            (416, 3),
+        ] {
+            assert_constructors_match_oracles(w, h, [0x12, 0x34, 0x56]);
+        }
+    }
+
     #[test]
     fn constructors_produce_expected_sizes_and_values() {
         let c = Image::corrupted(8, 4);
@@ -309,6 +384,11 @@ mod tests {
             let img = Image::solid(w, h, [r, g, b]);
             let rebuilt = Image::reconstruct(w, h, img.as_bytes()).unwrap();
             prop_assert_eq!(rebuilt.pixel_recovery_rate(&img), 1.0);
+        }
+
+        #[test]
+        fn prop_constructors_match_the_per_pixel_oracles(w in 0u32..70, h in 0u32..70, r in any::<u8>(), g in any::<u8>(), b in any::<u8>()) {
+            assert_constructors_match_oracles(w, h, [r, g, b]);
         }
 
         #[test]

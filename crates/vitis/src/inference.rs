@@ -30,13 +30,7 @@ const KERNEL: usize = 3;
 /// identical logits.
 pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
     let gray = downsample_grayscale(input, WORKING_DIM);
-    let w = weights::float_weights(model);
-
-    // Convolution weights come from the front of the weight blob, classifier
-    // weights from the back; both regions exist for every zoo model because
-    // the minimum simulated parameter count exceeds what is consumed here.
-    let conv_needed = CONV_FILTERS * KERNEL * KERNEL;
-    let conv_w = &w[..conv_needed.min(w.len())];
+    let (conv_w, fc_region) = weight_regions(model);
 
     let mut feature_maps = [0f32; CONV_FILTERS];
     let out_dim = WORKING_DIM - KERNEL + 1;
@@ -62,22 +56,31 @@ pub fn run_inference(model: ModelKind, input: &Image) -> Vec<f32> {
         *map = accum / (out_dim * out_dim) as f32;
     }
 
-    let classes = model.output_classes();
-    let fc_region = &w[w.len().saturating_sub(classes * CONV_FILTERS)..];
-    let mut logits = vec![0f32; classes];
+    let mut logits = vec![0f32; model.output_classes()];
     for (c, logit) in logits.iter_mut().enumerate() {
         let mut v = 0f32;
         for (f, feature) in feature_maps.iter().enumerate() {
-            let weight = fc_region.get(c * CONV_FILTERS + f).copied().unwrap_or(
-                // Wrap around deterministically when the scaled blob is
-                // smaller than the classifier needs.
-                w[(c * CONV_FILTERS + f) % w.len()],
-            );
-            v += feature * weight;
+            v += feature * fc_region[(c * CONV_FILTERS + f) % fc_region.len()];
         }
         *logit = v;
     }
     logits
+}
+
+/// The two regions of `model`'s float weight blob the forward pass reads,
+/// generated without the rest of the blob: the convolution filters from the
+/// front and the classifier from the back.  Both exist for every zoo model
+/// because the minimum simulated parameter count exceeds the filters; a blob
+/// smaller than the classifier is returned whole, and the classifier wraps
+/// around it.
+fn weight_regions(model: ModelKind) -> (Vec<f32>, Vec<f32>) {
+    let count = model.simulated_param_count() as usize;
+    let conv_len = (CONV_FILTERS * KERNEL * KERNEL).min(count);
+    let fc_len = count.min(model.output_classes() * CONV_FILTERS);
+    (
+        weights::float_weights_range(model, 0..conv_len),
+        weights::float_weights_range(model, count - fc_len..count),
+    )
 }
 
 /// Index of the largest logit (the predicted class).
@@ -109,6 +112,22 @@ fn downsample_grayscale(image: &Image, dim: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn weight_regions_match_the_full_blob_selection() {
+        for model in ModelKind::all() {
+            let w = weights::float_weights(model);
+            let (conv_w, fc_region) = weight_regions(model);
+            assert_eq!(conv_w, &w[..CONV_FILTERS * KERNEL * KERNEL]);
+            // The classifier weight the full-blob pass read for index `i`.
+            let classes = model.output_classes();
+            let tail = &w[w.len().saturating_sub(classes * CONV_FILTERS)..];
+            for i in 0..classes * CONV_FILTERS {
+                let expected = tail.get(i).copied().unwrap_or(w[i % w.len()]);
+                assert_eq!(fc_region[i % fc_region.len()].to_bits(), expected.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn inference_is_deterministic() {

@@ -252,7 +252,8 @@ impl CompletedRun {
 #[derive(Debug, Clone)]
 pub struct DpuRunner {
     model: ModelKind,
-    input: Image,
+    /// The explicit input; `None` runs the sample photo, built at launch.
+    input: Option<Image>,
     image_argument: String,
 }
 
@@ -260,17 +261,16 @@ impl DpuRunner {
     /// Creates a runner for `model` using the Xilinx-style sample photo as
     /// input.
     pub fn new(model: ModelKind) -> Self {
-        let (w, h) = model.input_dims();
         DpuRunner {
             model,
-            input: Image::sample_photo(w, h),
+            input: None,
             image_argument: "../images/001.jpg".to_string(),
         }
     }
 
     /// Replaces the input image (e.g. with the corrupted or sentinel image).
     pub fn with_input(mut self, input: Image) -> Self {
-        self.input = input;
+        self.input = Some(input);
         self
     }
 
@@ -285,19 +285,23 @@ impl DpuRunner {
         self.model
     }
 
-    /// The input image this runner will load.
-    pub fn input_image(&self) -> &Image {
-        &self.input
+    /// The explicit input image this runner will load, or `None` when it
+    /// runs the default sample photo.
+    pub fn input_image(&self) -> Option<&Image> {
+        self.input.as_ref()
     }
 
     /// Spawns the victim process, loads the model and image into its heap,
     /// runs inference, writes the output tensor and leaves the process
     /// **running**.
     ///
+    /// The runner is consumed: its input image becomes the run's ground
+    /// truth without a copy.
+    ///
     /// # Errors
     ///
     /// Propagates kernel errors (allocation failure, exhausted DRAM, …).
-    pub fn launch(&self, kernel: &mut Kernel, user: UserId) -> Result<LaunchedRun, RunnerError> {
+    pub fn launch(self, kernel: &mut Kernel, user: UserId) -> Result<LaunchedRun, RunnerError> {
         let binary = format!("./{}", self.model.name());
         let xmodel_path = self.model.xmodel_path();
         let pid = kernel.spawn(
@@ -309,19 +313,21 @@ impl DpuRunner {
             ],
         )?;
 
-        let (bytes, layout) = heap_image(self.model, &self.input);
+        let (w, h) = self.model.input_dims();
+        let input = self.input.unwrap_or_else(|| Image::sample_photo(w, h));
+        let (bytes, layout) = heap_image(self.model, &input);
         kernel.grow_heap(pid, layout.heap_len)?;
         let heap_base = kernel.process(pid)?.heap_base();
         kernel.write_process_memory(pid, heap_base, &bytes)?;
+        // The heap image now lives in the process; free the local copy
+        // before inference allocates its own buffers.
+        drop(bytes);
 
         // Run the reduced forward pass over the data as it sits in the
         // process's memory (read it back rather than trusting local copies).
-        let (w, h) = self.model.input_dims();
         let mut image_back = vec![0u8; (w * h * 3) as usize];
         kernel.read_process_memory(pid, heap_base + layout.image_offset, &mut image_back)?;
-        let image_in_memory = Image::reconstruct(w, h, &image_back)
-            .expect("image buffer sized from model dimensions");
-        let logits = inference::run_inference(self.model, &image_in_memory);
+        let logits = inference::run_inference(self.model, &Image::from_raw(w, h, image_back));
 
         let mut logit_bytes = Vec::with_capacity(logits.len() * 4);
         for logit in &logits {
@@ -332,7 +338,7 @@ impl DpuRunner {
         Ok(LaunchedRun {
             pid,
             model: self.model,
-            input: self.input.clone(),
+            input,
             layout,
             logits,
         })
@@ -345,7 +351,7 @@ impl DpuRunner {
     ///
     /// Propagates kernel errors.
     pub fn run_to_completion(
-        &self,
+        self,
         kernel: &mut Kernel,
         user: UserId,
     ) -> Result<CompletedRun, RunnerError> {
@@ -468,12 +474,36 @@ mod tests {
     }
 
     #[test]
+    fn default_input_launch_equals_an_explicit_sample_photo() {
+        let heap_after_launch = |runner: DpuRunner| {
+            let mut k = kernel();
+            let run = runner.launch(&mut k, UserId::new(0)).unwrap();
+            let process = k.process(run.pid()).unwrap();
+            let mut heap = vec![0u8; run.layout().heap_len as usize];
+            k.read_process_memory(run.pid(), process.heap_base(), &mut heap)
+                .unwrap();
+            (heap, run)
+        };
+        for model in ModelKind::all() {
+            let (w, h) = model.input_dims();
+            let (default_heap, default_run) = heap_after_launch(DpuRunner::new(model));
+            let (explicit_heap, explicit_run) =
+                heap_after_launch(DpuRunner::new(model).with_input(Image::sample_photo(w, h)));
+            assert!(default_heap == explicit_heap, "{model}: heap bytes differ");
+            assert_eq!(default_run.logits(), explicit_run.logits(), "{model}");
+            assert_eq!(default_run.input_image(), explicit_run.input_image());
+            assert_eq!(default_run.layout(), explicit_run.layout());
+        }
+    }
+
+    #[test]
     fn builder_accessors() {
         let runner = DpuRunner::new(ModelKind::YoloV3)
             .with_input(Image::corrupted(416, 416))
             .with_image_argument("../images/dog.jpg");
         assert_eq!(runner.model(), ModelKind::YoloV3);
-        assert_eq!(runner.input_image().width(), 416);
+        assert_eq!(runner.input_image().map(Image::width), Some(416));
+        assert!(DpuRunner::new(ModelKind::YoloV3).input_image().is_none());
     }
 
     #[test]
