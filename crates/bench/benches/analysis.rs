@@ -1,5 +1,7 @@
 //! Step-4 benchmarks (FIG11/FIG12): model identification from strings,
-//! marker scanning, hexdump rendering/grep and image reconstruction.
+//! marker scanning, hexdump rendering/grep and image reconstruction, plus
+//! the decay-tolerant recoverers (neighbor repair and fuzzy identification)
+//! on residue decayed by the remanence models.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -8,6 +10,7 @@ use std::time::Duration;
 use msa_bench::{attacker_debugger, bench_board, launch_victim};
 use msa_core::analysis::image::reconstruct_image_view;
 use msa_core::analysis::marker::{marker_runs_view, CORRUPTED_MARKER};
+use msa_core::analysis::reconstruct::{fuzzy_identify_view, repair_image};
 use msa_core::analysis::strings::identify_model_view;
 use msa_core::attack::ScrapeMode;
 use msa_core::dump::MemoryDump;
@@ -15,7 +18,9 @@ use msa_core::profile::Profiler;
 use msa_core::scrape::scrape_heap;
 use msa_core::signature::SignatureDb;
 use msa_core::translate::capture_heap_translation;
-use vitis_ai_sim::ModelKind;
+use vitis_ai_sim::{Image, ModelKind};
+use zynq_dram::remanence::cell_hash;
+use zynq_dram::{RemanenceModel, ScrapeView};
 
 fn scraped_dump(model: ModelKind) -> MemoryDump {
     let mut setup = launch_victim(bench_board(), model);
@@ -31,6 +36,26 @@ fn scraped_dump(model: ModelKind) -> MemoryDump {
         ScrapeMode::ContiguousRange,
     )
     .expect("scrape succeeds")
+}
+
+/// `bytes` after two ticks of per-bit discharge and then two ticks of
+/// whole-byte decay, at the rates of the campaign benchmark's `decay-swap`
+/// workload: both clipped and erased bytes.  The decayed resnet50 heap
+/// still identifies fuzzily, at a distance of about 0.4.
+fn decayed(bytes: &[u8]) -> Vec<u8> {
+    let clip = RemanenceModel::BitFlip { rate_ppm: 120_000 }.curve(2);
+    let erase = RemanenceModel::Exponential { half_life_ticks: 4 }.curve(2);
+    (0u64..)
+        .zip(bytes)
+        .map(|(i, &byte)| {
+            let clipped = clip.apply(byte, cell_hash(1, 0, i));
+            erase.apply(clipped, cell_hash(2, 0, i))
+        })
+        .collect()
+}
+
+fn decayed_image(side: u32) -> Image {
+    Image::from_raw(side, side, decayed(Image::corrupted(side, side).as_bytes()))
 }
 
 fn bench_analysis(c: &mut Criterion) {
@@ -75,6 +100,23 @@ fn bench_analysis(c: &mut Criterion) {
         b.iter(|| black_box(dump.ascii_strings(6).len()))
     });
 
+    let decayed_dump = decayed(dump.as_bytes());
+    group.bench_function("fuzzy_identify_decayed", |b| {
+        b.iter(|| {
+            black_box(fuzzy_identify_view(
+                &ScrapeView::from_slice(&decayed_dump),
+                &db,
+            ))
+        })
+    });
+
+    for side in [224, 416] {
+        let image = decayed_image(side);
+        group.throughput(Throughput::Bytes(image.as_bytes().len() as u64));
+        group.bench_function(format!("repair_image_{side}_decayed"), |b| {
+            b.iter(|| black_box(repair_image(&image)))
+        });
+    }
     group.finish();
 }
 

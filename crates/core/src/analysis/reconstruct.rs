@@ -33,7 +33,7 @@ use vitis_ai_sim::Image;
 use zynq_dram::ScrapeView;
 
 use crate::analysis::entropy::{classify_regions_view, RegionClass, DEFAULT_WINDOW};
-use crate::signature::{ModelMatch, SignatureDb};
+use crate::signature::{ModelMatch, ShiftAnd, SignatureDb};
 
 /// Minimum number of exactly-surviving non-zero pattern bytes a fuzzy window
 /// must contain: consistency alone is too weak (an all-zero window is
@@ -118,35 +118,29 @@ pub fn vote_snapshots(snapshots: &[Vec<u8>], quorum: usize) -> Vec<u8> {
 /// non-zero pattern bytes fully intact, and retains at least
 /// [`MIN_BIT_EVIDENCE`] of the pattern's set bits.  The distance is the
 /// fraction of pattern bits missing from the window (0.0 = exact match).
+///
+/// This is the one-pattern case of the scan [`fuzzy_identify_view`] runs
+/// over a whole database.
 pub fn fuzzy_scan(bytes: &[u8], pattern: &[u8]) -> Option<f64> {
-    if pattern.is_empty() || bytes.len() < pattern.len() {
-        return None;
-    }
-    let total_bits: u32 = pattern.iter().map(|p| p.count_ones()).sum();
-    if total_bits == 0 {
-        return None;
-    }
-    // Sliding count of non-zero window bytes: windows with fewer non-zero
-    // bytes than the exact-byte floor cannot qualify, and skipping them keeps
-    // the scan O(n) over the zero pages that dominate a scraped heap.
-    let mut nonzero_in_window = bytes[..pattern.len()].iter().filter(|&&b| b != 0).count();
-    let mut best: Option<f64> = None;
-    for start in 0..=bytes.len() - pattern.len() {
-        if start > 0 {
-            nonzero_in_window += usize::from(bytes[start + pattern.len() - 1] != 0);
+    best_distances(&ShiftAnd::new(std::iter::once(pattern)), &[pattern], bytes)[0]
+}
+
+/// The best match distance of every pattern in `bytes` (see
+/// [`fuzzy_scan`]), from one Shift-And pass of `scanner`, which was built
+/// over `patterns`.
+fn best_distances(scanner: &ShiftAnd, patterns: &[&[u8]], bytes: &[u8]) -> Vec<Option<f64>> {
+    let mut best: Vec<Option<f64>> = vec![None; patterns.len()];
+    scanner.scan(bytes, |id, end| {
+        let pattern = patterns[id];
+        if best[id] == Some(0.0) {
+            return;
         }
-        if nonzero_in_window >= MIN_EXACT_BYTES {
-            if let Some(distance) = score_window(&bytes[start..start + pattern.len()], pattern) {
-                if best.is_none_or(|b| distance < b) {
-                    best = Some(distance);
-                }
-                if distance == 0.0 {
-                    return best;
-                }
+        if let Some(distance) = score_window(&bytes[end - pattern.len()..end], pattern) {
+            if best[id].is_none_or(|b| distance < b) {
+                best[id] = Some(distance);
             }
         }
-        nonzero_in_window -= usize::from(bytes[start] != 0);
-    }
+    });
     best
 }
 
@@ -176,6 +170,9 @@ fn score_window(window: &[u8], pattern: &[u8]) -> Option<f64> {
 /// against the dump with [`fuzzy_scan`] and returns the best match, if any
 /// pattern still carries enough bit evidence.
 ///
+/// One Shift-And pass over the dump scores every pattern of the database
+/// at once; the tables are built with the database.
+///
 /// The returned match reports how many patterns matched fuzzily (`hits`) and
 /// the mean match distance across them ([`ModelMatch::fuzzy_distance`],
 /// `Some(0.0)` when the surviving fragments were exact).  Ties are broken
@@ -189,22 +186,28 @@ pub fn fuzzy_identify_view(view: &ScrapeView<'_>, db: &SignatureDb) -> Option<Mo
             &owned
         }
     };
+    let patterns: Vec<&[u8]> = db
+        .signatures()
+        .iter()
+        .flat_map(|sig| sig.patterns.iter().map(String::as_bytes))
+        .collect();
+    let mut distances = best_distances(db.shift_and(), &patterns, bytes).into_iter();
     let mut matches: Vec<ModelMatch> = db
         .signatures()
         .iter()
         .filter_map(|sig| {
-            let distances: Vec<f64> = sig
-                .patterns
-                .iter()
-                .filter_map(|pattern| fuzzy_scan(bytes, pattern.as_bytes()))
+            let found: Vec<f64> = distances
+                .by_ref()
+                .take(sig.patterns.len())
+                .flatten()
                 .collect();
-            if distances.is_empty() {
+            if found.is_empty() {
                 return None;
             }
-            let mean = distances.iter().sum::<f64>() / distances.len() as f64;
+            let mean = found.iter().sum::<f64>() / found.len() as f64;
             Some(ModelMatch {
                 model: sig.model,
-                hits: distances.len(),
+                hits: found.len(),
                 total_patterns: sig.patterns.len(),
                 fuzzy_distance: Some(mean),
             })
@@ -273,89 +276,434 @@ pub fn entropy_image_offset(view: &ScrapeView<'_>, image_len: usize) -> Option<u
 ///   consensus of its non-zero neighbors only when it is a bitwise subset of
 ///   that consensus — i.e. only bits that decay could have cleared are ever
 ///   re-set, never bits the neighbors disagree on.
+///
+/// Each pass reads only the previous one (Jacobi iteration), so two
+/// image-sized buffers are swapped between passes.  A missing neighbor
+/// counts as a zero one, since only non-zero neighbors vote: the top and
+/// bottom rows read one zero row, the first and last pixel of a row are
+/// repaired on their own, and the interior reads the row against itself
+/// shifted by one pixel either way.
 pub fn repair_image(image: &Image) -> Image {
     let width = image.width() as usize;
     let height = image.height() as usize;
-    let mut pixels = image.as_bytes().to_vec();
     if width == 0 || height == 0 {
         return image.clone();
     }
+    let stride = width * 3;
+    let zeros = vec![0u8; stride];
+    let mut current = image.as_bytes().to_vec();
+    let mut next = vec![0u8; current.len()];
     for _ in 0..MAX_REPAIR_PASSES {
-        let previous = pixels.clone();
-        for y in 0..height {
-            for x in 0..width {
-                for channel in 0..3 {
-                    let at = |x: usize, y: usize| previous[(y * width + x) * 3 + channel];
-                    let mut neighbors = [0u8; 4];
-                    let mut count = 0usize;
-                    if x > 0 {
-                        neighbors[count] = at(x - 1, y);
-                        count += 1;
-                    }
-                    if x + 1 < width {
-                        neighbors[count] = at(x + 1, y);
-                        count += 1;
-                    }
-                    if y > 0 {
-                        neighbors[count] = at(x, y - 1);
-                        count += 1;
-                    }
-                    if y + 1 < height {
-                        neighbors[count] = at(x, y + 1);
-                        count += 1;
-                    }
-                    let own = at(x, y);
-                    if let Some(repaired) = repair_byte(own, &neighbors[..count]) {
-                        pixels[(y * width + x) * 3 + channel] = repaired;
-                    }
-                }
-            }
+        let mut changed = 0u8;
+        for (y, out) in next.chunks_exact_mut(stride).enumerate() {
+            let up = if y > 0 {
+                &current[(y - 1) * stride..][..stride]
+            } else {
+                &zeros
+            };
+            let down = if y + 1 < height {
+                &current[(y + 1) * stride..][..stride]
+            } else {
+                &zeros
+            };
+            changed |= repair_row(&current[y * stride..][..stride], up, down, out);
         }
-        if pixels == previous {
+        std::mem::swap(&mut current, &mut next);
+        if changed == 0 {
             break;
         }
     }
-    Image::reconstruct(image.width(), image.height(), &pixels).expect("repair preserves dimensions")
+    Image::from_raw(image.width(), image.height(), current)
 }
 
-/// One channel byte's repair decision (see [`repair_image`]).
-fn repair_byte(own: u8, neighbors: &[u8]) -> Option<u8> {
-    let nonzero: Vec<u8> = neighbors.iter().copied().filter(|&n| n != 0).collect();
-    if nonzero.len() < 2 {
-        return None;
-    }
-    if own == 0 {
-        // Erased byte: restore only an exact >= 2 neighbor agreement,
-        // breaking ties toward the value with more surviving bits.
-        return nonzero
-            .iter()
-            .map(|&value| {
-                let votes = nonzero.iter().filter(|&&n| n == value).count();
-                (votes, value.count_ones(), value)
-            })
-            .filter(|&(votes, _, _)| votes >= 2)
-            .max()
-            .map(|(_, _, value)| value);
-    }
-    // Clipped byte: strict-majority bit consensus of the non-zero neighbors,
-    // applied only when `own` could be a decayed form of it.
-    let mut consensus = 0u8;
-    for bit in 0..8 {
-        let votes = nonzero.iter().filter(|&&n| n >> bit & 1 == 1).count();
-        if 2 * votes > nonzero.len() {
-            consensus |= 1 << bit;
+/// One pass over one row of channel bytes: writes the repaired `row` to
+/// `out`, given the rows above and below, and returns the OR of every
+/// changed bit.
+fn repair_row(row: &[u8], up: &[u8], down: &[u8], out: &mut [u8]) -> u8 {
+    let stride = row.len();
+    let mut changed = 0;
+    let mut edge = |c: usize, left: u8, right: u8| {
+        out[c] = repair_byte(row[c], left, right, up[c], down[c]);
+        changed |= out[c] ^ row[c];
+    };
+    if stride == 3 {
+        for c in 0..3 {
+            edge(c, 0, 0);
         }
+        return changed;
     }
-    (own & !consensus == 0 && own != consensus).then_some(consensus)
+    for c in 0..3 {
+        edge(c, 0, row[c + 3]);
+        edge(stride - 3 + c, row[stride - 6 + c], 0);
+    }
+    // The interior, with every neighbor slice cut to the same length so
+    // the loop compiles without bounds checks.
+    let n = stride - 6;
+    let (own, left, right) = (&row[3..][..n], &row[..n], &row[6..][..n]);
+    let (up, down, out) = (&up[3..][..n], &down[3..][..n], &mut out[3..][..n]);
+    for i in 0..n {
+        out[i] = repair_byte(own[i], left[i], right[i], up[i], down[i]);
+        changed |= out[i] ^ own[i];
+    }
+    changed
+}
+
+/// One channel byte's repair decision (see [`repair_image`]), without
+/// branches; a missing neighbor is passed as 0.
+///
+/// * Erased: the neighbor with the largest key `votes << 12 | popcount << 8
+///   | value` among the non-zero neighbors with at least two votes, where a
+///   neighbor's votes count the non-zero neighbors equal to it; 0 when none
+///   has two.
+/// * Clipped: the strict majority of the non-zero neighbors is "at least 2
+///   of 4" bits, or "at least 3 of 4" when all four are non-zero (zero
+///   neighbors carry no bits).  With fewer than two non-zero neighbors that
+///   mask is 0, which no non-zero byte is a subset of.
+#[inline(always)]
+fn repair_byte(own: u8, left: u8, right: u8, up: u8, down: u8) -> u8 {
+    let key = |value: u8, a: u8, b: u8, c: u8| {
+        let votes = 1 + u16::from(value == a) + u16::from(value == b) + u16::from(value == c);
+        let counted = u16::from((value != 0) & (votes >= 2));
+        (votes << 12 | (value.count_ones() as u16) << 8 | u16::from(value)) * counted
+    };
+    let erased = key(left, right, up, down)
+        .max(key(right, left, up, down))
+        .max(key(up, left, right, down))
+        .max(key(down, left, right, up)) as u8;
+    let two = (left | right) & (up | down) | left & right | up & down;
+    let three = left & right & (up | down) | up & down & (left | right);
+    let all_voting = (left != 0) & (right != 0) & (up != 0) & (down != 0);
+    let consensus = if all_voting { three } else { two };
+    let clipped = if own & !consensus == 0 {
+        consensus
+    } else {
+        own
+    };
+    if own == 0 {
+        erased
+    } else {
+        clipped
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::ModelSignature;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use vitis_ai_sim::ModelKind;
 
     fn view_of(bytes: &[u8]) -> ScrapeView<'_> {
         ScrapeView::from_slice(bytes)
+    }
+
+    /// The per-pattern window loop the Shift-And scan replaced.
+    fn fuzzy_scan_oracle(bytes: &[u8], pattern: &[u8]) -> Option<f64> {
+        if pattern.is_empty() || bytes.len() < pattern.len() {
+            return None;
+        }
+        let total_bits: u32 = pattern.iter().map(|p| p.count_ones()).sum();
+        if total_bits == 0 {
+            return None;
+        }
+        let mut nonzero_in_window = bytes[..pattern.len()].iter().filter(|&&b| b != 0).count();
+        let mut best: Option<f64> = None;
+        for start in 0..=bytes.len() - pattern.len() {
+            if start > 0 {
+                nonzero_in_window += usize::from(bytes[start + pattern.len() - 1] != 0);
+            }
+            if nonzero_in_window >= MIN_EXACT_BYTES {
+                if let Some(distance) = score_window(&bytes[start..start + pattern.len()], pattern)
+                {
+                    if best.is_none_or(|b| distance < b) {
+                        best = Some(distance);
+                    }
+                    if distance == 0.0 {
+                        return best;
+                    }
+                }
+            }
+            nonzero_in_window -= usize::from(bytes[start] != 0);
+        }
+        best
+    }
+
+    /// The identification the one-pass scan replaced: one
+    /// [`fuzzy_scan_oracle`] per pattern, then the same ranking.
+    fn fuzzy_identify_oracle(bytes: &[u8], db: &SignatureDb) -> Option<ModelMatch> {
+        let mut matches: Vec<ModelMatch> = db
+            .signatures()
+            .iter()
+            .filter_map(|sig| {
+                let distances: Vec<f64> = sig
+                    .patterns
+                    .iter()
+                    .filter_map(|pattern| fuzzy_scan_oracle(bytes, pattern.as_bytes()))
+                    .collect();
+                if distances.is_empty() {
+                    return None;
+                }
+                let mean = distances.iter().sum::<f64>() / distances.len() as f64;
+                Some(ModelMatch {
+                    model: sig.model,
+                    hits: distances.len(),
+                    total_patterns: sig.patterns.len(),
+                    fuzzy_distance: Some(mean),
+                })
+            })
+            .collect();
+        matches.sort_by(|a, b| {
+            b.confidence()
+                .partial_cmp(&a.confidence())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    a.fuzzy_distance
+                        .partial_cmp(&b.fuzzy_distance)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+        });
+        matches.into_iter().next()
+    }
+
+    /// The per-byte repair loop the two-buffer kernel replaced.
+    fn repair_image_oracle(image: &Image) -> Image {
+        let width = image.width() as usize;
+        let height = image.height() as usize;
+        let mut pixels = image.as_bytes().to_vec();
+        if width == 0 || height == 0 {
+            return image.clone();
+        }
+        for _ in 0..MAX_REPAIR_PASSES {
+            let previous = pixels.clone();
+            for y in 0..height {
+                for x in 0..width {
+                    for channel in 0..3 {
+                        let at = |x: usize, y: usize| previous[(y * width + x) * 3 + channel];
+                        let mut neighbors = [0u8; 4];
+                        let mut count = 0usize;
+                        if x > 0 {
+                            neighbors[count] = at(x - 1, y);
+                            count += 1;
+                        }
+                        if x + 1 < width {
+                            neighbors[count] = at(x + 1, y);
+                            count += 1;
+                        }
+                        if y > 0 {
+                            neighbors[count] = at(x, y - 1);
+                            count += 1;
+                        }
+                        if y + 1 < height {
+                            neighbors[count] = at(x, y + 1);
+                            count += 1;
+                        }
+                        let own = at(x, y);
+                        if let Some(repaired) = repair_byte_oracle(own, &neighbors[..count]) {
+                            pixels[(y * width + x) * 3 + channel] = repaired;
+                        }
+                    }
+                }
+            }
+            if pixels == previous {
+                break;
+            }
+        }
+        Image::reconstruct(image.width(), image.height(), &pixels)
+            .expect("repair preserves dimensions")
+    }
+
+    fn repair_byte_oracle(own: u8, neighbors: &[u8]) -> Option<u8> {
+        let nonzero: Vec<u8> = neighbors.iter().copied().filter(|&n| n != 0).collect();
+        if nonzero.len() < 2 {
+            return None;
+        }
+        if own == 0 {
+            return nonzero
+                .iter()
+                .map(|&value| {
+                    let votes = nonzero.iter().filter(|&&n| n == value).count();
+                    (votes, value.count_ones(), value)
+                })
+                .filter(|&(votes, _, _)| votes >= 2)
+                .max()
+                .map(|(_, _, value)| value);
+        }
+        let mut consensus = 0u8;
+        for bit in 0..8 {
+            let votes = nonzero.iter().filter(|&&n| n >> bit & 1 == 1).count();
+            if 2 * votes > nonzero.len() {
+                consensus |= 1 << bit;
+            }
+        }
+        (own & !consensus == 0 && own != consensus).then_some(consensus)
+    }
+
+    /// Channel values of the random repair images: few enough that
+    /// neighbors often agree exactly, nested so clipped bytes can be
+    /// promoted, a pair (0x0F, 0x30) whose popcount and value order
+    /// disagree for the erased-byte tie-break, and 0 for erasures.
+    const CHANNEL_VALUES: [u8; 6] = [0, 0x01, 0x0F, 0x30, 0x3F, 0xFF];
+
+    fn random_image(width: u32, height: u32, picks: &[usize]) -> Image {
+        let len = (width * height * 3) as usize;
+        let pixels = picks
+            .iter()
+            .cycle()
+            .take(len)
+            .map(|&pick| CHANNEL_VALUES[pick % CHANNEL_VALUES.len()])
+            .collect();
+        Image::from_raw(width, height, pixels)
+    }
+
+    /// `truth` with a hash-picked share of its bytes erased (`erase`) or
+    /// with one bit cleared (otherwise).
+    fn decayed(truth: &Image, erase: bool) -> Image {
+        let mut bytes = truth.as_bytes().to_vec();
+        for (i, byte) in bytes.iter_mut().enumerate() {
+            let hash = (i as u32).wrapping_mul(0x9E37_79B9);
+            match (erase, hash % 5) {
+                (true, 0 | 1) => *byte = 0,
+                (false, 0..=2) => *byte &= !(1 << (hash >> 28 & 7)),
+                _ => {}
+            }
+        }
+        Image::from_raw(truth.width(), truth.height(), bytes)
+    }
+
+    fn assert_repair_matches_oracle(image: &Image) {
+        let repaired = repair_image(image);
+        assert!(
+            repaired == repair_image_oracle(image),
+            "repair differs from the oracle at {}x{}",
+            image.width(),
+            image.height()
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn repair_matches_the_oracle_on_random_images(
+            width in 0u32..70,
+            height in 0u32..70,
+            picks in vec(0usize..64, 1..400),
+        ) {
+            assert_repair_matches_oracle(&random_image(width, height, &picks));
+        }
+
+        #[test]
+        fn repair_matches_the_oracle_on_narrow_images(
+            width in 1u32..3,
+            height in 1u32..40,
+            picks in vec(0usize..64, 1..200),
+        ) {
+            // Strides of 3 and 6 bytes: only the row-edge path runs.
+            assert_repair_matches_oracle(&random_image(width, height, &picks));
+            assert_repair_matches_oracle(&random_image(height, 1, &picks));
+        }
+    }
+
+    #[test]
+    fn repair_matches_the_oracle_at_edge_and_model_sizes() {
+        for (width, height) in [(0, 5), (5, 0), (0, 0), (1, 1), (1, 7), (2, 7), (7, 1)] {
+            assert_repair_matches_oracle(&random_image(width, height, &[1, 5, 0, 3, 4, 2, 5]));
+        }
+        for side in [224, 240, 416] {
+            let truth = Image::sample_photo(side, side);
+            assert_repair_matches_oracle(&decayed(&truth, true));
+            assert_repair_matches_oracle(&decayed(&truth, false));
+        }
+    }
+
+    /// Bytes of the random fuzzy dumps and patterns: a few letters whose
+    /// bits nest, so decayed windows are often consistent, and 0.
+    const FUZZY_ALPHABET: [u8; 5] = [0, b'a', b'c', b'q', b's'];
+
+    proptest! {
+        #[test]
+        fn fuzzy_scan_matches_the_oracle_over_random_databases(
+            lens in vec(0usize..90, 1..10),
+            raw in vec(0usize..5, 500),
+            data in vec(0usize..5, 0..600),
+            plants in vec(any::<usize>(), 0..6),
+            clears in vec(any::<usize>(), 0..60),
+            sig_sizes in vec(0usize..5, 1..7),
+            picks in vec(any::<usize>(), 24),
+        ) {
+            // The pool holds patterns from 0 to 89 bytes (so they straddle
+            // word boundaries and exceed 64 bytes), an all-NUL pattern and
+            // one longer than the dump.
+            let mut source = raw.iter().cycle();
+            let mut pool: Vec<Vec<u8>> = lens
+                .iter()
+                .map(|&len| source.by_ref().take(len).map(|&i| FUZZY_ALPHABET[i]).collect())
+                .collect();
+            pool.push(vec![0; 7]);
+            let mut bytes: Vec<u8> = data.iter().map(|&i| FUZZY_ALPHABET[i]).collect();
+            pool.push(vec![b's'; bytes.len() + 1]);
+
+            // Plant pool patterns, the first two at the first and last byte,
+            // then decay them: runs of zeros and cleared bits.
+            for (n, &plant) in plants.iter().enumerate() {
+                let pattern = &pool[plant % pool.len()];
+                if pattern.len() > bytes.len() {
+                    continue;
+                }
+                let start = match n {
+                    0 => 0,
+                    1 => bytes.len() - pattern.len(),
+                    _ => (plant >> 16) % (bytes.len() - pattern.len() + 1),
+                };
+                bytes[start..start + pattern.len()].copy_from_slice(pattern);
+            }
+            for &clear in &clears {
+                if bytes.is_empty() {
+                    break;
+                }
+                let at = clear % bytes.len();
+                if clear >> 40 & 1 == 0 {
+                    let end = (at + (clear >> 20) % 12).min(bytes.len());
+                    bytes[at..end].fill(0);
+                } else {
+                    bytes[at] &= !(1 << (clear >> 32 & 7));
+                }
+            }
+
+            // Signatures draw from the pool with replacement, so patterns
+            // recur within and across signatures.
+            let mut picks = picks.iter().cycle();
+            let signatures = sig_sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &size)| ModelSignature {
+                    model: ModelKind::all()[i % ModelKind::all().len()],
+                    patterns: picks
+                        .by_ref()
+                        .take(size)
+                        .map(|&pick| {
+                            String::from_utf8(pool[pick % pool.len()].clone())
+                                .expect("the alphabet is ASCII")
+                        })
+                        .collect(),
+                })
+                .collect();
+            let db = SignatureDb::from_signatures(signatures);
+
+            let patterns: Vec<&[u8]> = db
+                .signatures()
+                .iter()
+                .flat_map(|sig| sig.patterns.iter().map(String::as_bytes))
+                .collect();
+            let oracle: Vec<Option<f64>> =
+                patterns.iter().map(|p| fuzzy_scan_oracle(&bytes, p)).collect();
+            prop_assert_eq!(best_distances(db.shift_and(), &patterns, &bytes), oracle.clone());
+            let single: Vec<Option<f64>> = patterns.iter().map(|p| fuzzy_scan(&bytes, p)).collect();
+            prop_assert_eq!(single, oracle);
+            prop_assert_eq!(
+                fuzzy_identify_view(&view_of(&bytes), &db),
+                fuzzy_identify_oracle(&bytes, &db)
+            );
+        }
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! patterns each model leaves in memory — most usefully its name and library
 //! path fragments.  [`SignatureDb`] holds those patterns;
 //! [`SignatureDb::match_view`] scores scraped bytes against every model in
-//! one pass of an Aho–Corasick automaton built with the database.
+//! one pass of an Aho–Corasick automaton built with the database, and the
+//! decay-tolerant fuzzy match scans every pattern at once with the Shift-And
+//! tables built next to it.
 
 // Lint audit: indexes and slice bounds here are established by the
 // surrounding length checks / loop invariants before use.
 #![allow(clippy::indexing_slicing)]
 
 mod automaton;
+mod shift_and;
 
 use std::sync::{Arc, OnceLock};
 
@@ -20,6 +23,7 @@ use vitis_ai_sim::ModelKind;
 use zynq_dram::ScrapeView;
 
 use automaton::Automaton;
+pub(crate) use shift_and::ShiftAnd;
 
 /// Signature of one model: byte patterns whose presence indicates the model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,13 +73,24 @@ impl ModelMatch {
 /// ```
 ///
 /// Equality and the serialised form cover the signatures alone: the
-/// automaton is derived from them, and deserialising rebuilds it through
+/// matchers are derived from them, and deserialising rebuilds them through
 /// [`SignatureDb::from_signatures`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(from = "SignatureList", into = "SignatureList")]
 pub struct SignatureDb {
     signatures: Vec<ModelSignature>,
-    automaton: Arc<Automaton>,
+    matchers: Arc<Matchers>,
+}
+
+/// The scanners built from a database's patterns, whose ids are their
+/// positions in signature order.
+#[derive(Debug)]
+struct Matchers {
+    /// Exact matching ([`SignatureDb::match_view`]).
+    automaton: Automaton,
+    /// Fuzzy matching
+    /// ([`crate::analysis::reconstruct::fuzzy_identify_view`]).
+    shift_and: ShiftAnd,
 }
 
 impl PartialEq for SignatureDb {
@@ -112,7 +127,7 @@ impl SignatureDb {
     /// its install path and its framework export path.
     ///
     /// Every attack pipeline starts from this database, so it is built once
-    /// per process and each call returns a copy that shares its automaton.
+    /// per process and each call returns a copy that shares its matchers.
     pub fn standard() -> Self {
         static STANDARD: OnceLock<SignatureDb> = OnceLock::new();
         STANDARD
@@ -135,15 +150,22 @@ impl SignatureDb {
 
     /// Builds a database from explicit signatures.
     pub fn from_signatures(signatures: Vec<ModelSignature>) -> Self {
-        let automaton = Arc::new(Automaton::new(
-            signatures
-                .iter()
-                .flat_map(|sig| sig.patterns.iter().map(String::as_bytes)),
-        ));
+        let patterns = signatures
+            .iter()
+            .flat_map(|sig| sig.patterns.iter().map(String::as_bytes));
+        let matchers = Arc::new(Matchers {
+            automaton: Automaton::new(patterns.clone()),
+            shift_and: ShiftAnd::new(patterns),
+        });
         SignatureDb {
             signatures,
-            automaton,
+            matchers,
         }
+    }
+
+    /// The Shift-And tables over every pattern, in signature order.
+    pub(crate) fn shift_and(&self) -> &ShiftAnd {
+        &self.matchers.shift_and
     }
 
     /// All signatures.
@@ -162,7 +184,7 @@ impl SignatureDb {
     ///
     /// Only models with at least one hit are returned.
     pub fn match_view(&self, view: &ScrapeView<'_>) -> Vec<ModelMatch> {
-        let mut found = self.automaton.found(view).into_iter();
+        let mut found = self.matchers.automaton.found(view).into_iter();
         let mut matches: Vec<ModelMatch> = self
             .signatures
             .iter()
